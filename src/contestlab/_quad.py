@@ -1,9 +1,10 @@
-"""Fixed-order Gauss-Legendre panels with adaptive bisection.
+"""Numeric primitives: Gauss-Legendre panels and vectorised bisection.
 
 The integrands fed through here are smooth except possibly at panel
 endpoints (segment breakpoints are never interior), so a 64-node rule per
 panel converges fast; bisection kicks in only when two refinement levels
-disagree.
+disagree. Every monotone inverse in the package (prize curve, tabulated
+costs, continuum quantiles and strategies) runs on _monotone_inverse.
 """
 
 from __future__ import annotations
@@ -16,12 +17,28 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 QUAD_TOL = 1e-10
 
+# Panels per integrand call in gauss_panels: 8192 nodes keep the integrand's
+# temporaries small; larger blocks were slower and raised peak memory.
+_PANEL_BLOCK = 128
+
 
 def gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """64-node Gauss-Legendre approximation of the integral of f over [a, b]."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(_WEIGHTS, f(mid + half * _NODES)))
+
+
+def gauss_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    """gauss_panel over 1-D arrays of panel ends, with f called on a block of panels at once."""
+    out = np.empty_like(a)
+    for i in range(0, a.size, _PANEL_BLOCK):
+        lo, hi = a[i : i + _PANEL_BLOCK], b[i : i + _PANEL_BLOCK]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * _NODES
+        out[i : i + _PANEL_BLOCK] = half * (f(nodes.ravel()).reshape(nodes.shape) @ _WEIGHTS)
+    return out
 
 
 def adaptive(
@@ -54,3 +71,27 @@ def _refine(f, a, b, coarse, tol, depth):
     return _refine(f, a, mid, left, half_tol, depth - 1) + _refine(
         f, mid, b, right, half_tol, depth - 1
     )
+
+
+def _monotone_inverse(f, y, lo, hi, steps: int, tol: float = 0.0) -> np.ndarray:
+    """Solve f(x) = y elementwise by bisection, for f nondecreasing on [lo, hi].
+
+    f maps an array of points to an array of values. Each element keeps the
+    bracket with f(lo) < y <= f(hi) and stops once its width falls to
+    tol * max(1, |hi|), so an element's result does not depend on which
+    other elements share the call. Returns the bracket midpoints.
+    """
+    y = np.asarray(y, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), y.shape).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), y.shape).copy()
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < y
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        if tol > 0.0:
+            active &= hi - lo > tol * np.maximum(1.0, np.abs(hi))
+            if not active.any():
+                break
+    return 0.5 * (lo + hi)

@@ -89,7 +89,6 @@ class RunConfig:
     out_path: str | None
     seed: int
     tolerances: dict
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -244,6 +243,31 @@ def _raw_from_text(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict
     return raw, lines
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _check_json(key: str, value, kind: str) -> None:
+    """Reject a JSON value whose type does not fit the field's coercion kind.
+
+    JSON values arrive typed and are not converted: a string or a fraction
+    where a number or an integer belongs is a schema error here, not a
+    ValueError in a later float() or int() call.
+    """
+    if kind == "pairs":
+        pairs = isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)
+        items, inner = (sum(value, []) if pairs else None), "float"
+    elif kind.startswith("list:"):
+        items, inner = (value if isinstance(value, list) else None), kind[5:]
+    else:
+        items, inner = [value], kind
+    wanted = _JSON_TYPES.get(inner)
+    if wanted is not None and (
+        items is None
+        or any(isinstance(v, bool) != (inner == "bool") or not isinstance(v, wanted) for v in items)
+    ):
+        raise ConfigSchemaError(f"field '{key}' must be {kind}, got {value!r}")
+
+
 def _raw_from_json(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict[str, int]]]:
     try:
         data = json.loads(text)
@@ -257,6 +281,13 @@ def _raw_from_json(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict
             raise ConfigSchemaError(f"unknown section {name!r}")
         if not isinstance(body, dict):
             raise ConfigSchemaError(f"section {name!r} must be an object")
+        for key, value in body.items():
+            if key.startswith("table"):
+                _check_json(key, value, "pairs")
+            elif key.startswith("tol_"):
+                _check_json(key, value, "float")
+            elif key in _KEY_KINDS:
+                _check_json(key, value, _KEY_KINDS[key])
         raw[name] = dict(body)
     lines = {name: {} for name in raw}
     return raw, lines
@@ -282,6 +313,10 @@ def _type_records(env_body: dict, lines: dict) -> list[dict]:
     """Normalize the two accepted type layouts into per-type records."""
     types = env_body.get("types")
     if isinstance(types, list) and types and isinstance(types[0], dict):
+        for record in types:
+            for key in ("theta", "exponent", "prob", "table"):
+                if isinstance(record, dict) and key in record:
+                    _check_json(key, record[key], "pairs" if key == "table" else "float")
         return types
     if not isinstance(types, list):
         raise ConfigSchemaError("field 'types' must list cost kinds")
@@ -482,7 +517,6 @@ def _build_config(raw: dict, lines: dict) -> RunConfig:
         out_path=str(path) if path is not None else None,
         seed=seed,
         tolerances=tolerances,
-        jobs=1,
     )
     _validate_config(config)
     return config
@@ -653,9 +687,7 @@ def _cmd_compare(config: RunConfig):
 
 def _cmd_optimize(config: RunConfig):
     mode = str(config.options.get("mode", "vertex"))
-    solution = optimize_budget(
-        config.environment, config.budget, mode=mode, seed=config.seed, jobs=config.jobs
-    )
+    solution = optimize_budget(config.environment, config.budget, mode=mode, seed=config.seed)
     results = {
         "prizes": list(solution.contest.prizes),
         "value": solution.value,
@@ -711,7 +743,6 @@ def _cmd_converge(config: RunConfig):
         config.contest,
         n_list,
         grid_points=int(config.options.get("grid_points", 513)),
-        jobs=config.jobs,
     )
     results = {
         "entries": [[n, gap] for n, gap in report.entries],
@@ -824,7 +855,7 @@ def main(argv=None) -> int:
         description="Run a contest analysis described by a config file.",
     )
     parser.add_argument("config", help="path to a sectioned key-value or JSON config")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers for sweeps")
+    parser.add_argument("--jobs", type=int, default=None, help="ignored; runs are serial")
     parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     parser.add_argument("--out", default=None, help="report path ('-' for stdout)")
     parser.add_argument("--seed", type=int, default=None)
@@ -837,8 +868,6 @@ def main(argv=None) -> int:
         return exc.exit_code
 
     replacements: dict[str, Any] = {}
-    if args.jobs is not None:
-        replacements["jobs"] = max(1, args.jobs)
     if args.fmt is not None:
         replacements["fmt"] = args.fmt
     if args.out is not None:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import adaptive
+from ._quad import _monotone_inverse, adaptive, gauss_panels
 from .costs import ContestEnvironment, CostFunction
 from .equilibrium import exante_cdf, solve
 from .errors import ArgumentError, ContestError, NumericError
@@ -118,81 +118,121 @@ class ContinuumEnvironment:
             out = self._interp_density(arr)
         return float(out) if np.ndim(theta) == 0 else out
 
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
+    def quantile(self, q):
+        """Type at CDF level q; accepts a scalar or an array of levels."""
+        arr = np.asarray(q, dtype=float)
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ArgumentError(f"quantile level must lie in [0, 1], got {q!r}")
         span = self.theta_hi - self.theta_lo
         if self.family == UNIFORM:
-            return self.theta_lo + q * span
-        if self.family == POWER:
-            return self.theta_lo + span * q ** (1.0 / self.shape)
-        lo, hi = self.theta_lo, self.theta_hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            out = self.theta_lo + arr * span
+        elif self.family == POWER:
+            out = self.theta_lo + span * np.power(arr, 1.0 / self.shape)
+        else:
+            out = _monotone_inverse(self.cdf, arr, self.theta_lo, self.theta_hi, steps=80)
+        return float(out) if arr.ndim == 0 else out
 
 
-def continuum_strategy(cenv: ContinuumEnvironment, contest: Contest, theta: float) -> float:
-    """Pure-strategy equilibrium effort of type theta.
+# Tail-table layout: uniform panels per segment, plus geometric panels that
+# grade the lowest one toward the bottom of the support, where non-integer
+# power densities are not smooth.
+_PANELS = 32
+_GRADED = 30
+
+
+class _StrategyTable:
+    """The pure strategy s(theta) = int_theta^hi h(t) dt, tabulated once.
+
+    h(t) = pi'(1 - G(t)) g(t) / t. The support is cut into fixed panels:
+    _PANELS uniform ones per segment (tabulated CDFs end segments at their
+    knots, where the density kinks) and _GRADED geometric ones refining the
+    lowest panel toward theta_lo. Each panel is integrated once by adaptive
+    quadrature and reverse cumulative sums give the tail beyond every edge,
+    so s at any theta is the tail beyond its panel plus one Gauss panel from
+    theta to the panel's right edge. Power shapes below 1 integrate in the
+    quantile variable q = G(t) instead, which cancels the density's
+    singularity at theta_lo: h dt = pi'(1 - q) / Q(q) dq.
+    """
+
+    def __init__(self, cenv: ContinuumEnvironment, contest: Contest):
+        if cenv.n_others != contest.n_opponents:
+            raise ArgumentError("environment and contest disagree on the number of opponents")
+        self.cenv = cenv
+        self.contest = contest
+        self.in_quantiles = cenv.family == POWER and cenv.shape < 1.0
+        if self.in_quantiles:
+            breaks = [0.0, 1.0]
+        else:
+            breaks = [cenv.theta_lo, cenv.theta_hi]
+            if cenv.family == TABULATED:
+                breaks[1:1] = [knot for knot, _ in cenv.points[1:-1]]
+        uniform = np.unique(
+            np.concatenate([np.linspace(a, b, _PANELS + 1) for a, b in zip(breaks, breaks[1:])])
+        )
+        graded = uniform[0] + (uniform[1] - uniform[0]) * np.exp2(-np.arange(_GRADED, 0, -1))
+        self.edges = np.concatenate((uniform[:1], graded, uniform[1:]))
+        tol = 1e-11 / (self.edges.size - 1)
+        pieces = [
+            adaptive(self._integrand, a, b, tol=tol) for a, b in zip(self.edges, self.edges[1:])
+        ]
+        self.tail = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+        self.max_effort = float(self.strategy(self.edges[:1])[0])
+
+    def _integrand(self, z: np.ndarray) -> np.ndarray:
+        cenv, contest = self.cenv, self.contest
+        if self.in_quantiles:
+            return prize_expectation_derivative(contest, 1.0 - z) / cenv.quantile(z)
+        win = 1.0 - np.clip(cenv.cdf(z), 0.0, 1.0)
+        return prize_expectation_derivative(contest, win) * cenv.pdf(z) / z
+
+    def strategy(self, z: np.ndarray) -> np.ndarray:
+        """s at integration-variable points z (types, or quantile levels)."""
+        j = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, self.edges.size - 2)
+        return self.tail[j + 1] + gauss_panels(self._integrand, z, self.edges[j + 1])
+
+    def effort_cdf(self, x: np.ndarray) -> np.ndarray:
+        """P[s(theta) <= x]: one minus the type CDF at the inverse strategy."""
+        out = np.where(x <= 0.0, 0.0, 1.0)
+        inside = (x > 0.0) & (x < self.max_effort)
+        # s decreases in z, so bisect its negative
+        z = _monotone_inverse(
+            lambda z: -self.strategy(z), -x[inside], self.edges[0], self.edges[-1], steps=60
+        )
+        out[inside] = 1.0 - (z if self.in_quantiles else self.cenv.cdf(z))
+        return out
+
+
+def continuum_strategy(cenv: ContinuumEnvironment, contest: Contest, theta):
+    """Pure-strategy equilibrium effort of type theta (a scalar or an array).
 
     The integral of the prize-curve slope at win probability 1 - G(t), scaled
     by the density over the marginal cost, from theta to the top of the
-    support. Decreasing in theta and identically zero at the top type. For
-    tabulated distributions the integration is split at the interpolation
-    knots, where the density has kinks.
+    support. Decreasing in theta and identically zero at the top type. The
+    integral is read off a table of cumulative panel integrals built once per
+    call (see _StrategyTable), so an array of types costs one build.
     """
-    if cenv.n_others != contest.n_opponents:
-        raise ArgumentError("environment and contest disagree on the number of opponents")
-    if not cenv.theta_lo <= theta <= cenv.theta_hi:
+    arr = np.asarray(theta, dtype=float)
+    if not np.all((arr >= cenv.theta_lo) & (arr <= cenv.theta_hi)):
         raise ArgumentError(
             f"theta must lie in [{cenv.theta_lo}, {cenv.theta_hi}], got {theta!r}"
         )
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        win = 1.0 - np.clip(cenv.cdf(ts), 0.0, 1.0)
-        return (
-            np.atleast_1d(prize_expectation_derivative(contest, win))
-            * np.atleast_1d(cenv.pdf(ts))
-            / ts
-        )
-
-    pieces = [float(theta), cenv.theta_hi]
-    if cenv.family == TABULATED:
-        pieces += [knot for knot, _ in cenv.points if theta < knot < cenv.theta_hi]
-    pieces = sorted(set(pieces))
-    tol = 1e-11 / max(len(pieces) - 1, 1)
-    return sum(adaptive(integrand, a, b, tol=tol) for a, b in zip(pieces, pieces[1:]))
+    table = _StrategyTable(cenv, contest)
+    arr_1d = np.atleast_1d(arr)
+    out = table.strategy(cenv.cdf(arr_1d) if table.in_quantiles else arr_1d)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
-def _effort_cdf(cenv, contest, x: float, upper: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= upper:
-        return 1.0
-    lo, hi = cenv.theta_lo, cenv.theta_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        # effort decreases in theta, so overshooting means theta(x) is larger
-        if continuum_strategy(cenv, contest, mid) > x:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 - cenv.cdf(0.5 * (lo + hi))
-
-
-def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x: float) -> float:
+def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
     """CDF of equilibrium effort: one minus the type CDF at the inverse strategy.
 
-    The strategy is strictly decreasing, so its inverse is recovered by
-    bisection over the support; below zero the CDF is 0 and above the lowest
-    type's effort it is 1.
+    The strategy is strictly decreasing, so its inverse is recovered by one
+    vectorised bisection over the support on the strategy table, for all of
+    x at once; below zero the CDF is 0 and above the lowest type's effort it
+    is 1.
     """
-    upper = continuum_strategy(cenv, contest, cenv.theta_lo)
-    return _effort_cdf(cenv, contest, float(x), upper)
+    arr = np.asarray(x, dtype=float)
+    out = _StrategyTable(cenv, contest).effort_cdf(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def discretize(cenv: ContinuumEnvironment, n: int) -> ContestEnvironment:
@@ -205,8 +245,8 @@ def discretize(cenv: ContinuumEnvironment, n: int) -> ContestEnvironment:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ArgumentError(f"n must be a positive integer, got {n!r}")
-    thetas = [cenv.quantile((2 * (n - k) + 1) / (2 * n)) for k in range(1, n + 1)]
-    types = tuple(CostFunction.linear(theta) for theta in thetas)
+    levels = (2 * (n - np.arange(1, n + 1)) + 1) / (2 * n)
+    types = tuple(CostFunction.linear(float(theta)) for theta in cenv.quantile(levels))
     return ContestEnvironment(
         n_others=cenv.n_others,
         types=types,
@@ -233,46 +273,41 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Measure sup |F_n - F| over x_grid for each atom count in n_list.
 
-    For each n the continuum CDF is discretized, the finite equilibrium is
-    solved, and its population effort CDF is compared pointwise against the
-    continuum one. Solver failures are re-raised with the offending n
-    attached. The default grid covers the effort support with a 5% overshoot
-    and grid_points points. Per-n solves are independent, so jobs > 1 spreads
-    them over threads without changing the result.
+    The continuum CDF F is computed once on the whole grid: the strategy is
+    tabulated as cumulative panel integrals and inverted for every grid
+    point in one vectorised bisection. For each n the continuum CDF is then
+    discretized, the finite equilibrium is solved, and its population effort
+    CDF is compared pointwise against F. Solver failures are re-raised with
+    the offending n attached. The default grid covers the effort support
+    with a 5% overshoot and grid_points points. jobs is accepted for
+    compatibility and ignored: each n costs milliseconds, serially.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ArgumentError(f"n_list must be nonempty and increasing, got {n_list!r}")
 
-    upper = continuum_strategy(cenv, contest, cenv.theta_lo)
+    table = _StrategyTable(cenv, contest)
     if x_grid is None:
         if grid_points < 2:
             raise ArgumentError(f"grid_points must be at least 2, got {grid_points!r}")
-        xs = np.linspace(0.0, 1.05 * upper, int(grid_points))
+        xs = np.linspace(0.0, 1.05 * table.max_effort, int(grid_points))
     else:
-        xs = np.asarray(x_grid, dtype=float)
+        xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
         if xs.size == 0:
             raise ArgumentError("x_grid must be nonempty")
-    continuum_vals = np.array([_effort_cdf(cenv, contest, float(x), upper) for x in xs])
+    continuum_vals = table.effort_cdf(xs)
 
-    def gap_for(n: int) -> float:
+    gaps = []
+    for n in ns:
         try:
             env = discretize(cenv, n)
             eqm = solve(env, contest)
         except ContestError as exc:
             raise NumericError(f"discretization n={n} failed: {exc}") from exc
         finite_vals = np.atleast_1d(exante_cdf(eqm, xs))
-        return float(np.max(np.abs(finite_vals - continuum_vals)))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            gaps = list(pool.map(gap_for, ns))
-    else:
-        gaps = [gap_for(n) for n in ns]
+        gaps.append(float(np.max(np.abs(finite_vals - continuum_vals))))
     return ConvergenceReport(
         entries=tuple(zip(ns, gaps)),
-        max_effort=upper,
+        max_effort=table.max_effort,
         grid_points=int(xs.size),
     )

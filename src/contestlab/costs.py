@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from ._quad import _monotone_inverse
 from .errors import ArgumentError
 
 LINEAR = "linear"
@@ -157,26 +158,21 @@ class CostFunction:
         elif self.kind == POWER:
             out = np.power(arr / self.theta, 1.0 / self.exponent)
         else:
-            out = np.array([self._invert_table(float(v)) for v in arr])
+            out = self._invert_table(arr)
         return float(out[0]) if scalar else out
 
-    def _invert_table(self, y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        x_last, c_last = self.points[-1]
-        hi = x_last
-        while self.evaluate(hi) < y:
-            hi += (y - self.evaluate(hi)) / self._last_slope + 1e-12
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.evaluate(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
+    def _invert_table(self, y: np.ndarray) -> np.ndarray:
+        x_last, _ = self.points[-1]
+        hi = np.full_like(y, x_last)
+        while True:
+            cost = self.evaluate(hi)
+            short = cost < y
+            if not short.any():
                 break
-        return 0.5 * (lo + hi)
+            hi = np.where(short, hi + ((y - cost) / self._last_slope + 1e-12), hi)
+        out = _monotone_inverse(self.evaluate, y, 0.0, hi, steps=80, tol=1e-15)
+        out[y == 0.0] = 0.0
+        return out
 
     def slope(self, x):
         """Marginal cost at effort x >= 0."""

@@ -162,11 +162,12 @@ def optimize_budget(
     objective is linear in the prizes; "vertex_plus_search" additionally runs
     a seeded coordinate-ascent search (8 restarts splitting a 10^4 evaluation
     cap) and returns the best candidate found. Each restart derives its own
-    seed and evaluation budget from its index, so results do not depend on
-    jobs, which only spreads restarts over a thread pool. Ties within 1e-9 of
-    the best value per unit budget are reported, never silently broken:
-    optimality claims are for tests to assert, not for the optimizer to
-    assume.
+    seed and evaluation budget from its index. jobs is accepted for
+    compatibility and ignored: restarts run serially, since a thread pool
+    over these small numpy calls was slower than one thread. Ties within
+    1e-9 of the best value per unit budget are reported, never silently
+    broken: optimality claims are for tests to assert, not for the optimizer
+    to assume.
     """
     if mode not in ("vertex", "vertex_plus_search"):
         raise ArgumentError(f"mode must be 'vertex' or 'vertex_plus_search', got {mode!r}")
@@ -181,19 +182,8 @@ def optimize_budget(
     if mode == "vertex_plus_search":
         children = np.random.SeedSequence(seed).spawn(_SEARCH_RESTARTS)
         per_restart = _SEARCH_EVAL_CAP // _SEARCH_RESTARTS
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(
-                        lambda child: _restart_search(env, budget, child, per_restart),
-                        children,
-                    )
-                )
-        else:
-            results = [_restart_search(env, budget, child, per_restart) for child in children]
-        for contest, val, used in results:
+        for child in children:
+            contest, val, used = _restart_search(env, budget, child, per_restart)
             evaluations += used
             candidates.append((contest, val))
 

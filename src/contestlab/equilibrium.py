@@ -148,58 +148,59 @@ def type_index(env: ContestEnvironment, t: float) -> int:
     return min(k, env.n_types)
 
 
+def _mixing_cdf(eqm: Equilibrium, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F_k(x) at each point x under its own type k = seg, in one prize-curve inversion."""
+    env = eqm.env
+    levels = np.empty_like(x)
+    for k in np.unique(seg):
+        mask = seg == k
+        levels[mask] = env.types[k - 1].evaluate(x[mask]) + eqm.utilities[k - 1]
+    # cost levels beyond the top prize clamp to certainty of winning:
+    # off-support and perturbed queries are legitimate probes here
+    ts = prize_expectation_inverse(eqm.contest, np.clip(levels, 0.0, eqm.contest.top_prize))
+    p_lo = np.asarray(env.cumulative)[seg - 1]
+    return np.clip((ts - p_lo) / np.asarray(env.probs)[seg - 1], 0.0, 1.0)
+
+
 def type_cdf(eqm: Equilibrium, k: int, x):
     """Mixing CDF of type k at effort x, clamped to [0, 1] off its interval.
 
     Queries outside [b_{k-1}, b_k] return the clamped value rather than an
     error: verification and quadrature probe off-support points on purpose.
     """
-    cf = eqm.env.type_at(k)
-    p_lo = eqm.env.cumulative[k - 1]
-    p_k = eqm.env.probs[k - 1]
+    eqm.env.type_at(k)  # rejects an out-of-range k
     b_lo, b_hi = eqm.boundaries[k - 1], eqm.boundaries[k]
-    u_k = eqm.utilities[k - 1]
 
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
     below = arr <= b_lo
-    above = arr >= b_hi
-    inside = ~(below | above)
-    out[below] = 0.0
-    out[above] = 1.0
+    inside = ~(below | (arr >= b_hi))
+    out = np.where(below, 0.0, 1.0)
     if np.any(inside):
-        # cost levels beyond the top prize clamp to certainty of winning:
-        # off-support and perturbed queries are legitimate probes here
-        levels = np.clip(cf.evaluate(arr[inside]) + u_k, 0.0, eqm.contest.top_prize)
-        ts = np.atleast_1d(prize_expectation_inverse(eqm.contest, levels))
-        out[inside] = np.clip((ts - p_lo) / p_k, 0.0, 1.0)
+        out[inside] = _mixing_cdf(eqm, np.full(np.count_nonzero(inside), k), arr[inside])
     return float(out[0]) if scalar else out
 
 
 def exante_cdf(eqm: Equilibrium, x):
-    """CDF of the effort of an arbitrary agent: P_{k-1} + p_k F_k(x) segmentwise."""
+    """CDF of the effort of an arbitrary agent: P_{k-1} + p_k F_k(x) segmentwise.
+
+    Each interior point is taken under the type whose interval holds it, and
+    all points share one call of the inverse prize curve.
+    """
+    env = eqm.env
     boundaries = np.asarray(eqm.boundaries)
-    cumulative = eqm.env.cumulative
 
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    out[arr <= 0.0] = 0.0
-    out[arr >= boundaries[-1]] = 1.0
+    out = np.where(arr <= 0.0, 0.0, 1.0)
     interior = (arr > 0.0) & (arr < boundaries[-1])
     if np.any(interior):
         xi = arr[interior]
-        seg = np.clip(np.searchsorted(boundaries, xi, side="left"), 1, eqm.env.n_types)
-        vals = np.empty_like(xi)
-        for k in np.unique(seg):
-            mask = seg == k
-            vals[mask] = cumulative[k - 1] + eqm.env.probs[k - 1] * np.atleast_1d(
-                type_cdf(eqm, int(k), xi[mask])
-            )
-        out[interior] = vals
+        seg = np.clip(np.searchsorted(boundaries, xi, side="left"), 1, env.n_types)
+        p_lo = np.asarray(env.cumulative)[seg - 1]
+        out[interior] = p_lo + np.asarray(env.probs)[seg - 1] * _mixing_cdf(eqm, seg, xi)
     return float(out[0]) if scalar else out
 
 

@@ -19,10 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._quad import _monotone_inverse
 from .errors import ArgumentError, DomainError
 
 # Absolute tolerance on t for the bisection inverse of the prize curve.
 ROOT_TOL = 1e-12
+
+# Largest pmf block (elements) that prize-curve evaluation holds at once;
+# 2^18 was faster than 2^20 and holds about a quarter of the memory.
+_BLOCK_ELEMENTS = 1 << 18
 
 _AT_MOST = "at_most"
 _AT_LEAST = "at_least"
@@ -150,11 +155,27 @@ def _pmf_rows(n: int, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
+    """weights @ _pmf_rows(n, arr), one block of columns at a time.
+
+    A block holds at most _BLOCK_ELEMENTS pmf values unless n is so large
+    that 64 columns exceed it. Blocks span a multiple of 64 columns, so with
+    a single-threaded BLAS each column's value is the same as from one
+    unblocked product.
+    """
+    step = max(64, (_BLOCK_ELEMENTS // (n + 1)) // 64 * 64)
+    if arr.size <= step:
+        return weights @ _pmf_rows(n, arr)
+    return np.concatenate(
+        [weights @ _pmf_rows(n, arr[i : i + step]) for i in range(0, arr.size, step)]
+    )
+
+
 def prize_expectation(contest: Contest, t):
     """Expected prize for an agent beating each opponent independently w.p. t."""
     arr, scalar = _as_prob(t)
     arr = np.atleast_1d(arr)
-    total = np.asarray(contest.prizes) @ _pmf_rows(contest.n_opponents, arr)
+    total = _ladder_dot(np.asarray(contest.prizes), contest.n_opponents, arr)
     return _ret(total[0] if scalar else total, scalar)
 
 
@@ -168,7 +189,7 @@ def prize_expectation_derivative(contest: Contest, t):
     arr = np.atleast_1d(arr)
     n = contest.n_opponents
     gaps = np.diff(np.asarray(contest.prizes))
-    total = n * (gaps @ _pmf_rows(n - 1, arr)) if n > 1 else gaps[0] * np.ones_like(arr)
+    total = n * _ladder_dot(gaps, n - 1, arr) if n > 1 else gaps[0] * np.ones_like(arr)
     return _ret(total[0] if scalar else total, scalar)
 
 
@@ -191,16 +212,9 @@ def prize_expectation_inverse(contest: Contest, y):
         raise DomainError(f"target prize must lie in [0, {top}], got {y!r}")
     arr = np.clip(arr, 0.0, top)
 
-    lo = np.zeros_like(arr)
-    hi = np.ones_like(arr)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = np.atleast_1d(prize_expectation(contest, mid)) < arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if float(np.max(hi - lo)) <= 1e-15:
-            break
-    out = 0.5 * (lo + hi)
+    out = _monotone_inverse(
+        lambda t: prize_expectation(contest, t), arr, 0.0, 1.0, steps=64, tol=1e-15
+    )
     out[arr == 0.0] = 0.0
     out[arr == top] = 1.0
     return _ret(out[0] if scalar else out, scalar)

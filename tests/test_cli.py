@@ -218,6 +218,36 @@ format = json
         assert main([_write(tmp_path, text), "--out", "-"]) == 5
         assert "parametric" in capsys.readouterr().err
 
+    _ENV = {"n_others": 2, "types": ["linear", "linear"], "thetas": [2.0, 1.0], "probs": [0.5, 0.5]}
+    _CONT = {"n_others": 2, "family": "uniform", "support": [1.0, 2.0]}
+
+    @pytest.mark.parametrize(
+        "env, contest, command",
+        [
+            (_ENV, {"prizes": [0, "ten", 20]}, {"name": "solve"}),
+            (_ENV, {"prizes": [0, 0, 1]}, {"name": "verify", "n_samples": "many"}),
+            (_ENV, {"prizes": [0, 0, 1]}, {"name": "verify", "n_samples": 1000.5}),
+            (_ENV, {"prizes": [0, 0, 1]}, {"name": "verify", "grid_size": "fine"}),
+            (_CONT, {"prizes": [0, 0, 1]}, {"name": "converge", "n_list": [4, "many"]}),
+            (_CONT, {"prizes": [0, 0, 1]}, {"name": "converge", "n_list": [4, 16.5]}),
+            (_CONT, {"prizes": [0, 0, 1]}, {"name": "converge", "n_list": 4}),
+        ],
+        ids=[
+            "prize_string",
+            "n_samples_string",
+            "n_samples_fraction",
+            "grid_size_string",
+            "n_list_string",
+            "n_list_fraction",
+            "n_list_scalar",
+        ],
+    )
+    def test_mistyped_json_fields_are_schema_errors(self, tmp_path, capsys, env, contest, command):
+        payload = {"environment": env, "contest": contest, "command": command}
+        path = _write(tmp_path, json.dumps(payload), "typed.json")
+        assert main([path, "--out", "-"]) == EXIT_SCHEMA
+        assert "must be" in capsys.readouterr().err
+
 
 class TestRunCommands:
     def test_solve_report_contents(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from contestlab import (
     ArgumentError,
@@ -12,9 +13,12 @@ from contestlab import (
     continuum_strategy,
     convergence_report,
     discretize,
+    exante_cdf,
+    prize_expectation_derivative,
     solve,
     validate_environment,
 )
+from contestlab._quad import adaptive
 
 
 @pytest.fixture
@@ -46,6 +50,33 @@ class TestContinuumStrategy:
         thetas = np.linspace(1.0, 2.0, 21)
         efforts = [continuum_strategy(cenv, contest, float(t)) for t in thetas]
         assert all(a > b for a, b in zip(efforts, efforts[1:]))
+
+    def test_array_of_types_matches_scalar_calls(self, uniform_example):
+        cenv, contest = uniform_example
+        thetas = np.linspace(1.0, 2.0, 9)
+        scalars = [continuum_strategy(cenv, contest, float(t)) for t in thetas]
+        np.testing.assert_allclose(
+            continuum_strategy(cenv, contest, thetas), scalars, rtol=0.0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("shape", [0.2, 0.5, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("offset", [0.0, 1e-6])
+    def test_power_shapes_near_the_bottom_type(self, shape, offset):
+        # below shape 1 the type density is singular at theta_lo; in the
+        # quantile variable q = G(t) the same integral is smooth. At shape
+        # 1.5 the density has a square-root cusp there instead.
+        cenv = ContinuumEnvironment.power(2, 1.0, 2.0, shape=shape)
+        contest = Contest((0.0, 0.3, 1.0))
+        theta = 1.0 + offset
+        reference, _ = quad(
+            lambda q: prize_expectation_derivative(contest, 1.0 - q) / (1.0 + q ** (1.0 / shape)),
+            cenv.cdf(theta),
+            1.0,
+            epsabs=1e-13,
+            epsrel=1e-13,
+            limit=200,
+        )
+        assert continuum_strategy(cenv, contest, theta) == pytest.approx(reference, abs=1e-9)
 
     def test_rejects_theta_outside_support(self, uniform_example):
         cenv, contest = uniform_example
@@ -88,6 +119,14 @@ class TestDistributionFamilies:
         )
         for q in (0.1, 0.4, 0.75):
             assert cenv.cdf(cenv.quantile(q)) == pytest.approx(q, abs=1e-10)
+        levels = np.linspace(0.0, 1.0, 33)
+        assert list(cenv.quantile(levels)) == [cenv.quantile(float(q)) for q in levels]
+
+    def test_quantile_rejects_levels_outside_the_unit_interval(self):
+        cenv = ContinuumEnvironment.uniform(1, 1.0, 2.0)
+        for bad in (-0.1, 1.5, float("nan"), np.array([0.5, 1.2])):
+            with pytest.raises(ArgumentError):
+                cenv.quantile(bad)
 
     def test_rejects_bad_support(self):
         with pytest.raises(ArgumentError):
@@ -213,3 +252,68 @@ class TestFiniteContinuumAgreement:
             assert eqm.boundaries[k] == pytest.approx(
                 continuum_strategy(cenv, contest, theta_k), abs=5e-3
             )
+
+
+def _adaptive_strategy(cenv, contest, theta):
+    """Reference strategy: one adaptive quadrature over [theta, hi], split at knots."""
+
+    def integrand(ts):
+        win = 1.0 - np.clip(cenv.cdf(ts), 0.0, 1.0)
+        return prize_expectation_derivative(contest, win) * cenv.pdf(ts) / ts
+
+    pieces = {theta, cenv.theta_hi}
+    if cenv.family == "tabulated":
+        pieces |= {knot for knot, _ in cenv.points if theta < knot < cenv.theta_hi}
+    pieces = sorted(pieces)
+    tol = 1e-11 / max(len(pieces) - 1, 1)
+    return sum(adaptive(integrand, a, b, tol=tol) for a, b in zip(pieces, pieces[1:]))
+
+
+def _bisected_effort_cdf(cenv, contest, x):
+    """Reference effort CDF: 60 bisection steps on theta, one quadrature per step."""
+    upper = _adaptive_strategy(cenv, contest, cenv.theta_lo)
+    if x <= 0.0:
+        return 0.0
+    if x >= upper:
+        return 1.0
+    lo, hi = cenv.theta_lo, cenv.theta_hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _adaptive_strategy(cenv, contest, mid) > x:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 - cenv.cdf(0.5 * (lo + hi))
+
+
+class TestTableAgainstPerTypeQuadrature:
+    FAMILIES = {
+        "uniform": ContinuumEnvironment.uniform(2, 1.0, 2.0),
+        "power": ContinuumEnvironment.power(2, 1.0, 2.5, shape=2.0),
+        "tabulated": ContinuumEnvironment.tabulated(
+            2, [(1.0, 0.0), (1.3, 0.45), (1.6, 0.7), (2.0, 1.0)]
+        ),
+    }
+    CONTEST = Contest((0.0, 0.3, 1.0))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_strategy_cdf_and_gaps_agree(self, family):
+        cenv, contest = self.FAMILIES[family], self.CONTEST
+        thetas = np.linspace(cenv.theta_lo, cenv.theta_hi, 9)
+        expected = [_adaptive_strategy(cenv, contest, float(t)) for t in thetas]
+        np.testing.assert_allclose(
+            continuum_strategy(cenv, contest, thetas), expected, rtol=0.0, atol=1e-10
+        )
+
+        upper = expected[0]
+        xs = np.linspace(-0.1 * upper, 1.05 * upper, 9)
+        reference = np.array([_bisected_effort_cdf(cenv, contest, float(x)) for x in xs])
+        np.testing.assert_allclose(
+            continuum_effort_cdf(cenv, contest, xs), reference, rtol=0.0, atol=1e-10
+        )
+
+        report = convergence_report(cenv, contest, [4, 16], x_grid=xs)
+        for n, gap in report.entries:
+            finite = exante_cdf(solve(discretize(cenv, n), contest), xs)
+            assert gap == pytest.approx(float(np.max(np.abs(finite - reference))), abs=1e-10)
+        assert report.max_effort == pytest.approx(upper, abs=1e-10)

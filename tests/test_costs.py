@@ -85,6 +85,34 @@ class TestCostInverse:
         x = cost_inverse(cf, y)
         assert cost_eval(cf, x) == pytest.approx(y, abs=1e-9 * max(1.0, y))
 
+    def test_tabulated_inverse_of_an_array_matches_pointwise_bisection(self):
+        cf = CostFunction.tabulated([(0.0, 0.0), (0.5, 0.2), (1.0, 0.7), (2.0, 2.5)])
+
+        def pointwise(y):
+            # one bracket and one scalar bisection per target
+            if y == 0.0:
+                return 0.0
+            hi = cf.points[-1][0]
+            while cf.evaluate(hi) < y:
+                hi += (y - cf.evaluate(hi)) / cf._last_slope + 1e-12
+            lo = 0.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if cf.evaluate(mid) < y:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-15 * max(1.0, hi):
+                    break
+            return 0.5 * (lo + hi)
+
+        # targets inside the table, on the last knot and beyond it
+        ys = np.concatenate(([0.0, 1e-14, 0.2, 2.5, 2.5 + 1e-9], np.linspace(0.01, 40.0, 57)))
+        xs = cost_inverse(cf, ys)
+        expected = np.array([pointwise(float(y)) for y in ys])
+        np.testing.assert_allclose(xs, expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(cf.evaluate(xs), ys, rtol=1e-12, atol=1e-12)
+
 
 class TestShapeFlags:
     @pytest.mark.parametrize(

@@ -205,6 +205,30 @@ class TestExanteCdf:
         assert exante_cdf(eqm, -0.5) == 0.0
         assert exante_cdf(eqm, 2.0) == 1.0
 
+    def test_batch_matches_per_type_mixing_cdfs(self):
+        env = ContestEnvironment(
+            n_others=3,
+            types=(
+                CostFunction.linear(3.0),
+                CostFunction.tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 2.2)]),
+                CostFunction.linear(1.0),
+            ),
+            probs=(0.3, 0.3, 0.4),
+        )
+        contest = Contest((0.0, 0.1, 0.3, 1.0))
+        eqm = solve(env, contest)
+        xs = np.concatenate((np.linspace(-0.1, 1.1 * eqm.max_effort, 301), eqm.boundaries))
+        expected = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            if x <= 0.0:
+                expected[i] = 0.0
+            elif x >= eqm.max_effort:
+                expected[i] = 1.0
+            else:
+                k = min(max(int(np.searchsorted(eqm.boundaries, x, side="left")), 1), env.n_types)
+                expected[i] = env.cumulative[k - 1] + env.probs[k - 1] * type_cdf(eqm, k, x)
+        np.testing.assert_allclose(exante_cdf(eqm, xs), expected, rtol=0.0, atol=1e-14)
+
 
 class TestSample:
     def test_endpoints_map_to_boundaries(self, two_type_env, top_prize_contest):

@@ -164,6 +164,27 @@ class TestPrizeExpectation:
             np.testing.assert_allclose(fd, exact, rtol=1e-6)
 
 
+    def test_long_vectors_are_evaluated_in_bounded_blocks(self, monkeypatch):
+        import contestlab.kernels as kernels
+
+        n = 200
+        contest = Contest(tuple(np.arange(n + 1) / n))
+        ts = np.random.default_rng(7).random(1 << 17)
+        whole = contest.prizes @ kernels._pmf_rows(n, ts)
+        sizes = []
+        original = kernels._pmf_rows
+
+        def recording(n_, arr):
+            sizes.append((n_ + 1) * arr.size)
+            return original(n_, arr)
+
+        monkeypatch.setattr(kernels, "_pmf_rows", recording)
+        blocked = prize_expectation(contest, ts)
+        assert len(sizes) > 1
+        assert max(sizes) <= kernels._BLOCK_ELEMENTS
+        np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
+
+
 class TestPrizeExpectationInverse:
     def test_hand_value(self, top_prize_contest):
         assert prize_expectation_inverse(top_prize_contest, 0.25) == pytest.approx(
