@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import ContestEnvironment
-from .effort import alpha_coefficients, expected_effort
+from .effort import _EffortOperator, alpha_coefficients
 from .equilibrium import solve
 from .errors import ArgumentError, CapabilityError, NumericError, StepError
-from .kernels import Contest, binom_pmf
+from .kernels import Contest, _pmf_rows, binom_pmf
 
 _SIGN_TOL = 1e-12
 
@@ -110,16 +110,10 @@ def utility_gradient(env: ContestEnvironment, m: int) -> tuple[float, ...]:
         raise CapabilityError("utility gradients need a parametric type-space")
     if not isinstance(m, int) or not 1 <= m <= env.n_others:
         raise ArgumentError(f"prize index must lie in [1, {env.n_others}], got {m!r}")
-    thetas = env.thetas
-    out = []
-    acc = 0.0
-    for k in range(1, env.n_types + 1):
-        out.append(thetas[k - 1] * acc)
-        if k < env.n_types:
-            acc += binom_pmf(env.n_others, m, env.cumulative[k]) * (
-                1.0 / thetas[k] - 1.0 / thetas[k - 1]
-            )
-    return tuple(out)
+    thetas = np.asarray(env.thetas)
+    pmf = _pmf_rows(env.n_others, np.asarray(env.cumulative[1:-1]), rows=[m])[0]
+    acc = np.concatenate(([0.0], np.cumsum(pmf * np.diff(1.0 / thetas))))
+    return tuple((thetas * acc).tolist())
 
 
 def competition_effect_linear(env: ContestEnvironment, query: CompetitionQuery) -> float:
@@ -149,11 +143,13 @@ def _transfer_slack(contest: Contest, query: CompetitionQuery, direction: int) -
     return max(slack, 0.0)
 
 
-def _perturbed(contest: Contest, query: CompetitionQuery, h: float) -> Contest:
-    prizes = list(contest.prizes)
-    prizes[query.m] += h
-    prizes[query.m_prime] -= h
-    return Contest(tuple(prizes))
+def _perturbed(contest: Contest, query: CompetitionQuery, hs) -> np.ndarray:
+    """One prize ladder per step h: contest + h * (e_m - e_m'), as array rows."""
+    hs = np.asarray(hs, dtype=float)
+    ladders = np.tile(np.asarray(contest.prizes), (hs.size, 1))
+    ladders[:, query.m] += hs
+    ladders[:, query.m_prime] -= hs
+    return ladders
 
 
 def competition_effect_numeric(
@@ -167,10 +163,13 @@ def competition_effect_numeric(
     Central differences with Richardson extrapolation over steps h and h/2.
     Derivative-of-integrand formulas are avoided on purpose: for convex bases
     the inverse base cost has unbounded slope at zero, while the effort value
-    itself stays perfectly finite. Contests sitting on the monotone boundary
-    in one direction fall back to a one-sided Richardson difference; if the
-    requested step does not fit on either side, a StepError suggests shrinking
-    it.
+    itself stays perfectly finite. All perturbed ladders are evaluated in one
+    batch by the fixed-node effort operator, so every difference is taken on
+    the same quadrature nodes and carries no adaptive-refinement noise; the
+    environment is validated once, by solving at contest. Contests sitting on
+    the monotone boundary in one direction fall back to a one-sided
+    Richardson difference; if the requested step does not fit on either side,
+    a StepError suggests shrinking it.
     """
     _check_query(env, query)
     if env.n_others != contest.n_opponents:
@@ -179,24 +178,25 @@ def competition_effect_numeric(
     if h <= 0.0:
         raise ArgumentError(f"step must be positive, got {step!r}")
 
-    def value(c: Contest) -> float:
-        return expected_effort(env, c, solve(env, c))
+    def values(hs) -> np.ndarray:
+        solve(env, contest)  # validates env and the pair once for the whole batch
+        return _EffortOperator(env)(_perturbed(contest, query, hs))
 
     slack_plus = _transfer_slack(contest, query, +1)
     slack_minus = _transfer_slack(contest, query, -1)
+    hh = 0.5 * h
 
     if slack_plus >= h and slack_minus >= h:
-        d_coarse = (value(_perturbed(contest, query, h)) - value(_perturbed(contest, query, -h))) / (2.0 * h)
-        hh = 0.5 * h
-        d_fine = (value(_perturbed(contest, query, hh)) - value(_perturbed(contest, query, -hh))) / (2.0 * hh)
+        e = values([h, -h, hh, -hh])
+        d_coarse = (e[0] - e[1]) / (2.0 * h)
+        d_fine = (e[2] - e[3]) / (2.0 * hh)
         return (4.0 * d_fine - d_coarse) / 3.0
 
     for direction, slack in ((+1, slack_plus), (-1, slack_minus)):
         if slack >= h:
-            base = value(contest)
-            d_coarse = direction * (value(_perturbed(contest, query, direction * h)) - base) / h
-            hh = 0.5 * h
-            d_fine = direction * (value(_perturbed(contest, query, direction * hh)) - base) / hh
+            e = values([0.0, direction * h, direction * hh])
+            d_coarse = direction * (e[1] - e[0]) / h
+            d_fine = direction * (e[2] - e[0]) / hh
             return 2.0 * d_fine - d_coarse
 
     best = max(slack_plus, slack_minus)

@@ -128,18 +128,21 @@ class CostFunction:
         arr = np.atleast_1d(arr)
         if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
             raise ArgumentError(f"effort must be nonnegative, got {x!r}")
-        if self.kind == LINEAR:
-            out = self.theta * arr
-        elif self.kind == POWER:
-            out = self.theta * np.power(arr, self.exponent)
-        else:
-            x_last, c_last = self.points[-1]
-            out = np.where(
-                arr <= x_last,
-                self._interp(np.minimum(arr, x_last)),
-                c_last + self._last_slope * (arr - x_last),
-            )
+        out = self._evaluate(arr)
         return float(out[0]) if scalar else out
+
+    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
+        """evaluate without argument checks, for an array of efforts known valid."""
+        if self.kind == LINEAR:
+            return self.theta * arr
+        if self.kind == POWER:
+            return self.theta * np.power(arr, self.exponent)
+        x_last, c_last = self.points[-1]
+        return np.where(
+            arr <= x_last,
+            self._interp(np.minimum(arr, x_last)),
+            c_last + self._last_slope * (arr - x_last),
+        )
 
     def inverse(self, y):
         """Effort whose cost is y >= 0; closed form except for tables.
@@ -153,24 +156,27 @@ class CostFunction:
         arr = np.atleast_1d(arr)
         if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
             raise ArgumentError(f"cost level must be nonnegative, got {y!r}")
-        if self.kind == LINEAR:
-            out = arr / self.theta
-        elif self.kind == POWER:
-            out = np.power(arr / self.theta, 1.0 / self.exponent)
-        else:
-            out = self._invert_table(arr)
+        out = self._inverse(arr)
         return float(out[0]) if scalar else out
+
+    def _inverse(self, arr: np.ndarray) -> np.ndarray:
+        """inverse without argument checks, for an array of cost levels known valid."""
+        if self.kind == LINEAR:
+            return arr / self.theta
+        if self.kind == POWER:
+            return np.power(arr / self.theta, 1.0 / self.exponent)
+        return self._invert_table(arr)
 
     def _invert_table(self, y: np.ndarray) -> np.ndarray:
         x_last, _ = self.points[-1]
         hi = np.full_like(y, x_last)
         while True:
-            cost = self.evaluate(hi)
+            cost = self._evaluate(hi)
             short = cost < y
             if not short.any():
                 break
             hi = np.where(short, hi + ((y - cost) / self._last_slope + 1e-12), hi)
-        out = _monotone_inverse(self.evaluate, y, 0.0, hi, steps=80, tol=1e-15)
+        out = _monotone_inverse(self._evaluate, y, 0.0, hi, steps=80, tol=1e-15)
         out[y == 0.0] = 0.0
         return out
 

@@ -5,7 +5,9 @@ V. Its extreme points are the zero ladder and, for each j, the ladder paying
 V/(N-j+1) to each of the top N-j+1 ranks; when the objective is linear in the
 prizes (linear costs) a vertex attains the maximum, so vertex evaluation is
 exact there. For curved bases a projected coordinate-ascent search explores
-the full-budget face on top of the vertices.
+the full-budget face on top of the vertices. The search ranks candidates on
+fixed quadrature nodes (effort._EffortOperator, built once per call); every
+value it reports comes from expected_effort.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ContestEnvironment
-from .effort import expected_effort
+from .effort import _EffortOperator, expected_effort
 from .equilibrium import solve
 from .errors import ArgumentError
 from .kernels import Contest
@@ -104,27 +106,31 @@ def _objective(env: ContestEnvironment, contest: Contest) -> float:
     return expected_effort(env, contest, solve(env, contest))
 
 
-def _contest_from_increments(d: np.ndarray) -> Contest:
-    prizes = np.concatenate(([0.0], np.cumsum(np.maximum(d, 0.0))))
-    return Contest(tuple(float(v) for v in prizes))
+def _prizes_from_increments(d: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(np.maximum(d, 0.0))))
 
 
-def _restart_search(env: ContestEnvironment, budget: float, seed_seq, eval_budget: int):
+def _restart_search(env: ContestEnvironment, budget: float, seed_seq, eval_budget: int, score):
     """One coordinate-ascent pass over prize increments on the full-budget face.
 
     Contests are parameterized by nonnegative increments d_m = v_m - v_{m-1},
     which makes monotonicity automatic; the budget constraint becomes a single
     weighted simplex sum_m (N-m+1) d_m = V, preserved by weighted pairwise
-    transfers with shrinking step sizes.
+    transfers with shrinking step sizes. Candidates are ranked by score, the
+    fixed-node effort operator; the final ladder is scored once more by
+    _objective, so the value returned is expected_effort's.
     """
     n = env.n_others
     weights = np.array([n - j + 1 for j in range(1, n + 1)], dtype=float)
     rng = np.random.default_rng(seed_seq)
     used = 0
 
+    def value(increments: np.ndarray) -> float:
+        return float(score(_prizes_from_increments(increments)[None, :])[0])
+
     raw = rng.exponential(size=n)
     d = budget * (raw / raw.sum()) / weights
-    val = _objective(env, _contest_from_increments(d))
+    val = value(d)
     used += 1
     step = 0.25
     while step > 1e-7 and used < eval_budget:
@@ -139,14 +145,15 @@ def _restart_search(env: ContestEnvironment, budget: float, seed_seq, eval_budge
                 cand = d.copy()
                 cand[i] -= move / weights[i]
                 cand[j] += move / weights[j]
-                cand_val = _objective(env, _contest_from_increments(cand))
+                cand_val = value(cand)
                 used += 1
                 if cand_val > val:
                     d, val = cand, cand_val
                     improved = True
         if not improved:
             step *= 0.5
-    return _contest_from_increments(d), val, used
+    contest = Contest(tuple(_prizes_from_increments(d).tolist()))
+    return contest, _objective(env, contest), used
 
 
 def optimize_budget(
@@ -162,7 +169,10 @@ def optimize_budget(
     objective is linear in the prizes; "vertex_plus_search" additionally runs
     a seeded coordinate-ascent search (8 restarts splitting a 10^4 evaluation
     cap) and returns the best candidate found. Each restart derives its own
-    seed and evaluation budget from its index. jobs is accepted for
+    seed and evaluation budget from its index. Search candidates are ranked
+    by the fixed-node effort operator, built once for env; the vertex table,
+    each restart's final ladder and hence the returned value are scored by
+    expected_effort, so mode "vertex" is unaffected by the operator. jobs is accepted for
     compatibility and ignored: restarts run serially, since a thread pool
     over these small numpy calls was slower than one thread. Ties within
     1e-9 of the best value per unit budget are reported, never silently
@@ -180,10 +190,13 @@ def optimize_budget(
 
     candidates = list(scored)
     if mode == "vertex_plus_search":
+        # the vertex solves above validated env, the winner-takes-all one up
+        # to the largest effort any ladder within the budget can demand
+        score = _EffortOperator(env)
         children = np.random.SeedSequence(seed).spawn(_SEARCH_RESTARTS)
         per_restart = _SEARCH_EVAL_CAP // _SEARCH_RESTARTS
         for child in children:
-            contest, val, used = _restart_search(env, budget, child, per_restart)
+            contest, val, used = _restart_search(env, budget, child, per_restart, score)
             evaluations += used
             candidates.append((contest, val))
 

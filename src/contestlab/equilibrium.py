@@ -61,15 +61,13 @@ def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
     if not report.passed:
         raise ArgumentError(f"invalid environment: {report.failures[0]}")
 
-    cumulative = env.cumulative
+    pis = prize_expectation(contest, np.asarray(env.cumulative)).tolist()  # pis[0] == 0
     boundaries = [0.0]
     utilities = []
-    pi_prev = prize_expectation(contest, cumulative[0])  # equals 0 after normalization
     for k in range(1, env.n_types + 1):
         cf = env.types[k - 1]
-        u_k = pi_prev - cf.evaluate(boundaries[-1])
-        pi_hi = prize_expectation(contest, cumulative[k])
-        level = pi_hi - u_k
+        u_k = pis[k - 1] - cf.evaluate(boundaries[-1])
+        level = pis[k] - u_k
         if level < 0.0:
             if level < -1e-12 * contest.top_prize:
                 raise NumericError(f"negative cost level {level!r} while inverting type {k}")
@@ -80,7 +78,6 @@ def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
             raise NumericError(f"cost inversion failed for type {k}: {exc}") from exc
         boundaries.append(b_k)
         utilities.append(u_k)
-        pi_prev = pi_hi
 
     for k in range(1, len(boundaries)):
         if boundaries[k] <= boundaries[k - 1]:
@@ -111,7 +108,7 @@ def utilities_closed_form(env: ContestEnvironment, contest: Contest) -> tuple[fl
     _require_parametric(env)
     _check_pair(env, contest)
     thetas = env.thetas
-    pis = [prize_expectation(contest, p) for p in env.cumulative[1:]]
+    pis = prize_expectation(contest, np.asarray(env.cumulative[1:])).tolist()
     utilities = []
     acc = 0.0
     for k in range(1, env.n_types + 1):
@@ -131,7 +128,7 @@ def boundaries_closed_form(env: ContestEnvironment, contest: Contest) -> tuple[f
     _check_pair(env, contest)
     thetas = env.thetas
     exponent = env.base_exponent
-    pis = [prize_expectation(contest, p) for p in env.cumulative]
+    pis = prize_expectation(contest, np.asarray(env.cumulative)).tolist()
     level = 0.0
     out = []
     for k in range(1, env.n_types + 1):

@@ -102,33 +102,21 @@ def binom_pmf(n: int, m: int, t):
     """
     _check_index(n, m)
     arr, scalar = _as_prob(t)
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    log_comb = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-    interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(interior):
-        ti = arr[interior]
-        out[interior] = np.exp(log_comb + m * np.log(ti) + (n - m) * np.log1p(-ti))
-    if m == 0:
-        out[arr == 0.0] = 1.0
-    if m == n:
-        out[arr == 1.0] = 1.0
+    out = _pmf_rows(n, np.atleast_1d(arr), rows=[m])[0]
     return _ret(out[0] if scalar else out, scalar)
 
 
 def binom_tail(n: int, m: int, t, side: str):
-    """P[Bin(n, t) <= m] or P[Bin(n, t) >= m], by summing pmf terms."""
+    """P[Bin(n, t) <= m] or P[Bin(n, t) >= m], by summing pmf rows."""
     _check_index(n, m)
     if side == _AT_MOST:
-        terms = range(0, m + 1)
+        rows = np.arange(0, m + 1)
     elif side == _AT_LEAST:
-        terms = range(m, n + 1)
+        rows = np.arange(m, n + 1)
     else:
         raise ArgumentError(f"side must be 'at_most' or 'at_least', got {side!r}")
     arr, scalar = _as_prob(t)
-    total = np.zeros_like(np.atleast_1d(arr))
-    for i in terms:
-        total = total + np.atleast_1d(binom_pmf(n, i, arr))
+    total = _pmf_rows(n, np.atleast_1d(arr), rows=rows).sum(axis=0)
     return _ret(total[0] if scalar else total, scalar)
 
 
@@ -140,19 +128,30 @@ def _log_combs(n: int) -> np.ndarray:
     )
 
 
-def _pmf_rows(n: int, arr: np.ndarray) -> np.ndarray:
-    """All pmf values at once: row m holds P[Bin(n, t) = m] over the t-vector."""
-    ms = np.arange(n + 1)[:, None]
-    out = np.zeros((n + 1, arr.size))
+def _pmf_rows(n: int, arr: np.ndarray, rows=None) -> np.ndarray:
+    """The binomial kernel: row i holds P[Bin(n, t) = rows[i]] over the t-vector.
+
+    rows defaults to all of 0..n. Every pmf and tail in the package is a row
+    or a sum of rows of this matrix.
+    """
+    ms = np.arange(n + 1) if rows is None else np.asarray(rows)
+    out = np.zeros((ms.size, arr.size))
     interior = (arr > 0.0) & (arr < 1.0)
     ti = arr[interior]
     if ti.size:
         out[:, interior] = np.exp(
-            _log_combs(n)[:, None] + ms * np.log(ti)[None, :] + (n - ms) * np.log1p(-ti)[None, :]
+            _log_combs(n)[ms][:, None]
+            + ms[:, None] * np.log(ti)[None, :]
+            + (n - ms)[:, None] * np.log1p(-ti)[None, :]
         )
-    out[0, arr == 0.0] = 1.0
-    out[n, arr == 1.0] = 1.0
+    out[np.ix_(ms == 0, arr == 0.0)] = 1.0
+    out[np.ix_(ms == n, arr == 1.0)] = 1.0
     return out
+
+
+def _upper_tails(n: int, arr: np.ndarray) -> np.ndarray:
+    """Row m holds P[Bin(n, t) >= m] for m = 0..n: reverse cumulative pmf rows."""
+    return np.cumsum(_pmf_rows(n, arr)[::-1], axis=0)[::-1]
 
 
 def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
@@ -234,16 +233,8 @@ def type_prize_integral(env, contest: Contest, k: int) -> float:
     if env.n_others != contest.n_opponents:
         raise ArgumentError("environment and contest disagree on the number of opponents")
     n = contest.n_opponents
-    p_lo, p_hi = cumulative[k - 1], cumulative[k]
-    total = 0.0
-    for m in range(1, n + 1):
-        v = contest.prizes[m]
-        if v != 0.0:
-            total += v * (
-                binom_tail(n + 1, m + 1, p_hi, _AT_LEAST)
-                - binom_tail(n + 1, m + 1, p_lo, _AT_LEAST)
-            )
-    return total / (n + 1)
+    tails = _upper_tails(n + 1, np.array([cumulative[k - 1], cumulative[k]]))
+    return float(np.asarray(contest.prizes[1:]) @ (tails[2:, 1] - tails[2:, 0])) / (n + 1)
 
 
 def is_more_competitive(v: Contest, w: Contest) -> bool:

@@ -125,6 +125,24 @@ class TestNumericEffect:
             closed = competition_effect_linear(env, query)
             assert abs(numeric - closed) <= 1e-6
 
+    def test_matches_alpha_difference_to_1e9_on_linear_instances(self):
+        # effort is linear in the prizes, and the perturbed ladders share one
+        # set of quadrature nodes, so only rounding separates the two
+        rng = np.random.default_rng(79)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, 5))
+            env = _linear_env(n, random_thetas(rng, k), random_probs(rng, k))
+            m = int(rng.integers(2, n + 1))
+            query = CompetitionQuery(m, int(rng.integers(1, m)))
+            contest = random_spread_contest(rng, n)
+            numeric = competition_effect_numeric(env, contest, query)
+            assert abs(numeric - competition_effect_linear(env, query)) <= 1e-9
+            # winner-takes-all admits only the one-sided difference
+            top = CompetitionQuery(n, n - 1)
+            numeric = competition_effect_numeric(env, Contest((0.0,) * n + (1.0,)), top)
+            assert abs(numeric - competition_effect_linear(env, top)) <= 1e-9
+
     def test_convex_complete_information_discourages(self):
         env = ContestEnvironment(2, (CostFunction.power(1.0, 2.0),), (1.0,))
         effect = competition_effect_numeric(

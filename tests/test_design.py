@@ -15,7 +15,7 @@ from contestlab import (
     optimize_budget,
     solve,
 )
-from conftest import random_monotone_contest, random_probs, random_thetas
+from conftest import random_monotone_contest, random_parametric_env, random_probs, random_thetas
 
 
 def _linear_env(n, thetas, probs):
@@ -143,6 +143,16 @@ class TestSearchMode:
         assert first.contest == second.contest
         assert first.value == second.value
         assert first.evaluations == second.evaluations
+
+    def test_search_keeps_the_vertex_table_and_reports_expected_effort(self):
+        rng = np.random.default_rng(107)
+        for exponent in (0.5, 2.0):
+            env = random_parametric_env(rng, exponent, n_max=4, k_max=3, k_min=2)
+            vertex = optimize_budget(env, 1.0, mode="vertex")
+            search = optimize_budget(env, 1.0, mode="vertex_plus_search", seed=3)
+            assert search.vertex_values == vertex.vertex_values
+            assert search.value == _effort_value(env, search.contest)
+            assert search.value >= vertex.value
 
     def test_jobs_do_not_change_the_result(self):
         env = ContestEnvironment(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import binom
 
 from contestlab import (
     ArgumentError,
@@ -10,6 +11,7 @@ from contestlab import (
     Contest,
     ContestEnvironment,
     CostFunction,
+    NumericError,
     alpha_coefficients,
     expected_cost,
     expected_effort,
@@ -18,7 +20,8 @@ from contestlab import (
     solve,
     utilities_closed_form,
 )
-from conftest import random_linear_env, random_monotone_contest
+from contestlab.effort import _EffortOperator
+from conftest import random_linear_env, random_monotone_contest, random_parametric_env
 
 
 class TestExpectedEffort:
@@ -113,6 +116,21 @@ class TestAlphaCoefficients:
             closed = alpha_coefficients(env).dot(contest)
             assert abs(quad_value - closed) <= 1e-8
 
+    @pytest.mark.parametrize("n,thetas", [(7, (4.0, 3.0, 2.5, 1.0)), (200, (2.0, 1.4, 1.0))])
+    def test_matches_the_term_by_term_formula(self, n, thetas):
+        probs = tuple(np.full(len(thetas), 1.0 / len(thetas)))
+        env = ContestEnvironment(n, tuple(CostFunction.linear(t) for t in thetas), probs)
+        expected = []
+        for m in range(1, n + 1):
+            acc = 1.0 / thetas[-1]
+            for k in range(1, len(thetas)):
+                p_k = env.cumulative[k]
+                weight = binom.sf(m - 1, n + 1, p_k) + (n - m) * binom.pmf(m, n + 1, p_k)
+                acc -= weight * (1.0 / thetas[k] - 1.0 / thetas[k - 1])
+            expected.append(acc / (n + 1))
+        alphas = alpha_coefficients(env).coefficients
+        np.testing.assert_allclose(alphas, expected, rtol=0.0, atol=1e-14)
+
     def test_top_coefficient_dominates_with_private_types(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
@@ -179,3 +197,91 @@ class TestExpectedCost:
             part, _ = quad(base_cost_at, env.cumulative[k - 1], env.cumulative[k])
             oracle += part
         assert expected_cost(env, contest) == pytest.approx(oracle, abs=1e-8)
+
+
+def _ladders_with_zeros(rng, n: int, count: int) -> np.ndarray:
+    """Random full-budget ladders whose first z prizes are zero, z = 0..n-1 in turn."""
+    out = []
+    for i in range(count):
+        increments = rng.exponential(size=n)
+        increments[: i % n] = 0.0
+        prizes = np.concatenate(([0.0], np.cumsum(increments)))
+        out.append(prizes / prizes[1:].sum())
+    return np.array(out)
+
+
+def _operator_error(env, ladders, tight: bool = True) -> float:
+    """Largest |operator - expected_effort| / max(1, value) over the ladders.
+
+    With tight=True expected_effort runs at tol 1e-12 * max(1, value): its
+    default 1e-10 acceptance leaves up to about 2e-11 at a t^(j/2) endpoint,
+    where the graded fixed nodes are the more accurate of the two. Tabulated
+    segments go through the same adaptive rule in both, so they compare at
+    the default tolerance.
+    """
+    values = _EffortOperator(env)(ladders)
+    worst = 0.0
+    for prizes, value in zip(ladders, values):
+        contest = Contest(tuple(prizes.tolist()))
+        eqm = solve(env, contest)
+        ref = expected_effort(env, contest, eqm)
+        if tight:
+            ref = expected_effort(env, contest, eqm, tol=1e-12 * max(1.0, ref))
+        worst = max(worst, abs(value - ref) / max(1.0, ref))
+    return worst
+
+
+class TestEffortOperator:
+    @pytest.mark.parametrize("exponent", [0.1, 0.5, 1.0, 2.0, 8.0])
+    def test_matches_expected_effort_across_exponents(self, exponent):
+        rng = np.random.default_rng(int(exponent * 10) + 211)
+        for _ in range(3):
+            env = random_parametric_env(rng, exponent, n_max=6, k_max=4)
+            ladders = _ladders_with_zeros(rng, env.n_others, 2 * env.n_others + 2)
+            assert _operator_error(env, ladders) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [0.1, 0.5, 1.0, 2.0, 8.0])
+    def test_two_hundred_opponents(self, exponent):
+        rng = np.random.default_rng(223)
+        env = ContestEnvironment(
+            200, tuple(CostFunction.power(t, exponent) for t in (2.0, 1.5, 1.0)), (0.3, 0.3, 0.4)
+        )
+        ladders = _ladders_with_zeros(rng, 200, 200)[[0, 1, 100, 198, 199]]
+        solvable = []
+        for prizes in ladders:
+            try:
+                solve(env, Contest(tuple(prizes.tolist())))
+            except NumericError:
+                # near winner-takes-all at exponent 0.1 the boundaries underflow;
+                # solve reports it, and the operator is not asked
+                continue
+            solvable.append(prizes)
+        assert len(solvable) >= 3
+        assert _operator_error(env, np.array(solvable)) <= 1e-12
+
+    def test_tabulated_types_crossing_table_knots(self):
+        rng = np.random.default_rng(227)
+        tables = [[(0.0, 0.0), (0.2, 0.2 * s), (0.5, 0.8 * s), (1.0, 2.2 * s)] for s in (2.0, 1.0)]
+        env = ContestEnvironment(4, tuple(CostFunction.tabulated(t) for t in tables), (0.5, 0.5))
+        assert _operator_error(env, _ladders_with_zeros(rng, 4, 8), tight=False) <= 1e-12
+
+    def test_mixed_kind_types(self):
+        rng = np.random.default_rng(229)
+        table = [(0.0, 0.0), (0.2, 0.5), (0.5, 1.4), (1.0, 3.2)]
+        with_table = ContestEnvironment(
+            3, (CostFunction.tabulated(table), CostFunction.linear(1.0)), (0.4, 0.6)
+        )
+        assert _operator_error(with_table, _ladders_with_zeros(rng, 3, 6), tight=False) <= 1e-12
+        curved = ContestEnvironment(
+            3, (CostFunction.linear(3.0), CostFunction.power(1.0, 2.0)), (0.4, 0.6)
+        )
+        assert _operator_error(curved, _ladders_with_zeros(rng, 3, 9)) <= 1e-12
+
+    def test_batch_matches_one_ladder_at_a_time(self):
+        rng = np.random.default_rng(233)
+        env = random_parametric_env(rng, 2.0, n_max=5, k_min=2)
+        ladders = _ladders_with_zeros(rng, env.n_others, 6)
+        operator = _EffortOperator(env)
+        batch = operator(ladders)
+        single = np.array([operator(row[None, :])[0] for row in ladders])
+        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.stats import binom
 
 from contestlab import (
     ArgumentError,
@@ -103,6 +104,16 @@ class TestBinomTail:
     def test_rejects_unknown_side(self):
         with pytest.raises(ArgumentError):
             binom_tail(3, 1, 0.5, "between")
+
+    def test_matches_scipy_at_two_hundred_trials(self):
+        ts = np.array([0.0, 1e-3, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0])
+        for m in range(0, 201):
+            np.testing.assert_allclose(
+                binom_tail(200, m, ts, "at_least"), binom.sf(m - 1, 200, ts), rtol=1e-12, atol=1e-300
+            )
+            np.testing.assert_allclose(
+                binom_tail(200, m, ts, "at_most"), binom.cdf(m, 200, ts), rtol=1e-12, atol=1e-300
+            )
 
     @pytest.mark.parametrize("n,m", [(3, 1), (5, 4), (6, 2)])
     def test_tail_derivative_identity(self, n, m):
