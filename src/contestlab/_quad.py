@@ -1,4 +1,11 @@
-"""Numeric primitives: Gauss-Legendre panels and vectorised bisection.
+"""Numeric primitives: the scalar/array convention, Gauss-Legendre panels
+and vectorised bisection.
+
+Every public elementwise function of the package (of t, effort, cost level,
+type or quantile level) goes through _elementwise: it takes a scalar or an
+array of any shape, rejects NaN, infinities and points outside its interval,
+and returns the argument's shape, a scalar as a Python float. Internal
+loops, integrands and bisections call the unchecked cores instead.
 
 The integrands fed through here are smooth except possibly at panel
 endpoints (segment breakpoints are never interior), so a 64-node rule per
@@ -13,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ArgumentError
+
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 QUAD_TOL = 1e-10
@@ -20,6 +29,15 @@ QUAD_TOL = 1e-10
 # Panels per integrand call in gauss_panels: 8192 nodes keep the integrand's
 # temporaries small; larger blocks were slower and raised peak memory.
 _PANEL_BLOCK = 128
+
+
+def _elementwise(core, x, lo: float, hi: float, name: str, error=ArgumentError):
+    """core applied to x under the convention above; raises error unless x lies in [lo, hi]."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr >= lo) & (arr <= hi)):
+        raise error(f"{name} must be finite and lie in [{lo:g}, {hi:g}], got {x!r}")
+    out = core(arr.ravel())
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:

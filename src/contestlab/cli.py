@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -219,6 +220,7 @@ _KEY_KINDS = {
     "format": "str",
     "path": "str",
     "seed": "int",
+    **{key: "float" for key in _DEFAULT_TOLERANCES},
 }
 
 
@@ -234,8 +236,6 @@ def _raw_from_text(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict
                 kind = _KEY_KINDS[key]
             elif key.startswith("table_"):
                 kind = "pairs"
-            elif key.startswith("tol_"):
-                kind = "float"
             else:
                 raise ConfigSchemaError(f"{_where(key, line)} is not a recognized field")
             raw[name][key] = _coerce(key, value, kind, line)
@@ -284,10 +284,10 @@ def _raw_from_json(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict
         for key, value in body.items():
             if key.startswith("table"):
                 _check_json(key, value, "pairs")
-            elif key.startswith("tol_"):
-                _check_json(key, value, "float")
             elif key in _KEY_KINDS:
                 _check_json(key, value, _KEY_KINDS[key])
+            elif key.startswith("tol_"):
+                raise ConfigSchemaError(f"field '{key}' is not a recognized field")
         raw[name] = dict(body)
     lines = {name: {} for name in raw}
     return raw, lines
@@ -504,8 +504,13 @@ def _build_config(raw: dict, lines: dict) -> RunConfig:
         raise ConfigSchemaError(f"{_where('seed', _line(lines, 'output', 'seed'))} must be int")
     path = output.get("path")
     tolerances = {
-        key: float(value) for key, value in output.items() if key.startswith("tol_")
+        key: float(value) for key, value in output.items() if key in _DEFAULT_TOLERANCES
     }
+    for key, value in tolerances.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigValidationError(
+                f"{_where(key, _line(lines, 'output', key))} must be finite and positive"
+            )
 
     config = RunConfig(
         environment=environment,

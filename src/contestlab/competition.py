@@ -21,7 +21,7 @@ from .costs import ContestEnvironment
 from .effort import _EffortOperator, alpha_coefficients
 from .equilibrium import solve
 from .errors import ArgumentError, CapabilityError, NumericError, StepError
-from .kernels import Contest, _pmf_rows, binom_pmf
+from .kernels import Contest, _check_opponents, _pmf_rows
 
 _SIGN_TOL = 1e-12
 
@@ -172,8 +172,7 @@ def competition_effect_numeric(
     a StepError suggests shrinking it.
     """
     _check_query(env, query)
-    if env.n_others != contest.n_opponents:
-        raise ArgumentError("environment and contest disagree on the number of opponents")
+    _check_opponents(env, contest)
     h = 1e-4 * contest.top_prize if step is None else float(step)
     if h <= 0.0:
         raise ArgumentError(f"step must be positive, got {step!r}")
@@ -240,8 +239,7 @@ def _lambda_difference(env: ContestEnvironment, query: CompetitionQuery, ts: np.
     k_idx = np.minimum(
         np.searchsorted(np.asarray(env.cumulative), ts, side="right"), env.n_types
     )
-    pm = np.atleast_1d(binom_pmf(n, query.m, ts))
-    pmp = np.atleast_1d(binom_pmf(n, query.m_prime, ts))
+    pm, pmp = _pmf_rows(n, ts, rows=[query.m, query.m_prime])
     return (pm - pmp) / thetas[k_idx - 1] - grad_term[k_idx - 1]
 
 
@@ -275,7 +273,8 @@ def lambda_profile(
         ts = np.union1d(np.linspace(0.0, 1.0, 2048), np.asarray(env.cumulative))
     else:
         ts = np.unique(np.asarray(grid, dtype=float))
-        if ts.size == 0 or ts[0] < 0.0 or ts[-1] > 1.0:
+        # np.unique sorts NaN last, where the second comparison rejects it
+        if ts.size == 0 or not (ts[0] >= 0.0 and ts[-1] <= 1.0):
             raise ArgumentError("grid points must lie in [0, 1]")
     values = _lambda_difference(env, query, ts)
     if ts[0] == 0.0 and abs(values[0]) > 1e-14:

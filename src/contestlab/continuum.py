@@ -17,11 +17,11 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import _monotone_inverse, adaptive, gauss_panels
+from ._quad import _elementwise, _monotone_inverse, adaptive, gauss_panels
 from .costs import ContestEnvironment, CostFunction
 from .equilibrium import exante_cdf, solve
 from .errors import ArgumentError, ContestError, NumericError
-from .kernels import Contest, prize_expectation_derivative
+from .kernels import Contest, _check_opponents, _prize_slope
 
 UNIFORM = "uniform"
 POWER = "power"
@@ -96,41 +96,43 @@ class ContinuumEnvironment:
         return self._interp.derivative()
 
     def cdf(self, theta):
-        arr = np.clip(np.asarray(theta, dtype=float), self.theta_lo, self.theta_hi)
+        """Type CDF G at theta; clipped to the support, so 0 below it and 1 above."""
+        return _elementwise(self._cdf, theta, -np.inf, np.inf, "theta")
+
+    def _cdf(self, arr: np.ndarray) -> np.ndarray:
+        arr = np.clip(arr, self.theta_lo, self.theta_hi)
         u = (arr - self.theta_lo) / (self.theta_hi - self.theta_lo)
         if self.family == UNIFORM:
-            out = u
-        elif self.family == POWER:
-            out = np.power(u, self.shape)
-        else:
-            out = self._interp(arr)
-        return float(out) if np.ndim(theta) == 0 else out
+            return u
+        if self.family == POWER:
+            return np.power(u, self.shape)
+        return self._interp(arr)
 
     def pdf(self, theta):
-        arr = np.clip(np.asarray(theta, dtype=float), self.theta_lo, self.theta_hi)
+        """Type density at theta, taken at the nearest point of the support."""
+        return _elementwise(self._pdf, theta, -np.inf, np.inf, "theta")
+
+    def _pdf(self, arr: np.ndarray) -> np.ndarray:
+        arr = np.clip(arr, self.theta_lo, self.theta_hi)
         span = self.theta_hi - self.theta_lo
         if self.family == UNIFORM:
-            out = np.full_like(arr, 1.0 / span)
-        elif self.family == POWER:
+            return np.full_like(arr, 1.0 / span)
+        if self.family == POWER:
             u = (arr - self.theta_lo) / span
-            out = self.shape * np.power(u, self.shape - 1.0) / span
-        else:
-            out = self._interp_density(arr)
-        return float(out) if np.ndim(theta) == 0 else out
+            return self.shape * np.power(u, self.shape - 1.0) / span
+        return self._interp_density(arr)
 
     def quantile(self, q):
         """Type at CDF level q; accepts a scalar or an array of levels."""
-        arr = np.asarray(q, dtype=float)
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise ArgumentError(f"quantile level must lie in [0, 1], got {q!r}")
+        return _elementwise(self._quantile, q, 0.0, 1.0, "quantile level")
+
+    def _quantile(self, arr: np.ndarray) -> np.ndarray:
         span = self.theta_hi - self.theta_lo
         if self.family == UNIFORM:
-            out = self.theta_lo + arr * span
-        elif self.family == POWER:
-            out = self.theta_lo + span * np.power(arr, 1.0 / self.shape)
-        else:
-            out = _monotone_inverse(self.cdf, arr, self.theta_lo, self.theta_hi, steps=80)
-        return float(out) if arr.ndim == 0 else out
+            return self.theta_lo + arr * span
+        if self.family == POWER:
+            return self.theta_lo + span * np.power(arr, 1.0 / self.shape)
+        return _monotone_inverse(self._cdf, arr, self.theta_lo, self.theta_hi, steps=80)
 
 
 # Tail-table layout: uniform panels per segment, plus geometric panels that
@@ -155,8 +157,7 @@ class _StrategyTable:
     """
 
     def __init__(self, cenv: ContinuumEnvironment, contest: Contest):
-        if cenv.n_others != contest.n_opponents:
-            raise ArgumentError("environment and contest disagree on the number of opponents")
+        _check_opponents(cenv, contest)
         self.cenv = cenv
         self.contest = contest
         self.in_quantiles = cenv.family == POWER and cenv.shape < 1.0
@@ -181,9 +182,9 @@ class _StrategyTable:
     def _integrand(self, z: np.ndarray) -> np.ndarray:
         cenv, contest = self.cenv, self.contest
         if self.in_quantiles:
-            return prize_expectation_derivative(contest, 1.0 - z) / cenv.quantile(z)
-        win = 1.0 - np.clip(cenv.cdf(z), 0.0, 1.0)
-        return prize_expectation_derivative(contest, win) * cenv.pdf(z) / z
+            return _prize_slope(contest, 1.0 - z) / cenv._quantile(z)
+        win = 1.0 - np.clip(cenv._cdf(z), 0.0, 1.0)
+        return _prize_slope(contest, win) * cenv._pdf(z) / z
 
     def strategy(self, z: np.ndarray) -> np.ndarray:
         """s at integration-variable points z (types, or quantile levels)."""
@@ -198,7 +199,7 @@ class _StrategyTable:
         z = _monotone_inverse(
             lambda z: -self.strategy(z), -x[inside], self.edges[0], self.edges[-1], steps=60
         )
-        out[inside] = 1.0 - (z if self.in_quantiles else self.cenv.cdf(z))
+        out[inside] = 1.0 - (z if self.in_quantiles else self.cenv._cdf(z))
         return out
 
 
@@ -211,15 +212,12 @@ def continuum_strategy(cenv: ContinuumEnvironment, contest: Contest, theta):
     integral is read off a table of cumulative panel integrals built once per
     call (see _StrategyTable), so an array of types costs one build.
     """
-    arr = np.asarray(theta, dtype=float)
-    if not np.all((arr >= cenv.theta_lo) & (arr <= cenv.theta_hi)):
-        raise ArgumentError(
-            f"theta must lie in [{cenv.theta_lo}, {cenv.theta_hi}], got {theta!r}"
-        )
-    table = _StrategyTable(cenv, contest)
-    arr_1d = np.atleast_1d(arr)
-    out = table.strategy(cenv.cdf(arr_1d) if table.in_quantiles else arr_1d)
-    return float(out[0]) if arr.ndim == 0 else out
+
+    def core(arr: np.ndarray) -> np.ndarray:
+        table = _StrategyTable(cenv, contest)
+        return table.strategy(cenv._cdf(arr) if table.in_quantiles else arr)
+
+    return _elementwise(core, theta, cenv.theta_lo, cenv.theta_hi, "theta")
 
 
 def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
@@ -230,9 +228,9 @@ def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
     x at once; below zero the CDF is 0 and above the lowest type's effort it
     is 1.
     """
-    arr = np.asarray(x, dtype=float)
-    out = _StrategyTable(cenv, contest).effort_cdf(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
+    return _elementwise(
+        lambda arr: _StrategyTable(cenv, contest).effort_cdf(arr), x, -np.inf, np.inf, "effort"
+    )
 
 
 def discretize(cenv: ContinuumEnvironment, n: int) -> ContestEnvironment:
@@ -304,7 +302,7 @@ def convergence_report(
             eqm = solve(env, contest)
         except ContestError as exc:
             raise NumericError(f"discretization n={n} failed: {exc}") from exc
-        finite_vals = np.atleast_1d(exante_cdf(eqm, xs))
+        finite_vals = exante_cdf(eqm, xs)
         gaps.append(float(np.max(np.abs(finite_vals - continuum_vals))))
     return ConvergenceReport(
         entries=tuple(zip(ns, gaps)),

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._quad import _monotone_inverse
+from ._quad import _elementwise, _monotone_inverse
 from .errors import ArgumentError
 
 LINEAR = "linear"
@@ -123,13 +123,7 @@ class CostFunction:
 
     def evaluate(self, x):
         """Cost of effort x >= 0. Accepts scalars or arrays."""
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ArgumentError(f"effort must be nonnegative, got {x!r}")
-        out = self._evaluate(arr)
-        return float(out[0]) if scalar else out
+        return _elementwise(self._evaluate, x, 0.0, np.inf, "effort")
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         """evaluate without argument checks, for an array of efforts known valid."""
@@ -151,13 +145,7 @@ class CostFunction:
         is covered, then bisect; the result satisfies |c(g(y)) - y| <= 1e-12
         relative to the target scale.
         """
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ArgumentError(f"cost level must be nonnegative, got {y!r}")
-        out = self._inverse(arr)
-        return float(out[0]) if scalar else out
+        return _elementwise(self._inverse, y, 0.0, np.inf, "cost level")
 
     def _inverse(self, arr: np.ndarray) -> np.ndarray:
         """inverse without argument checks, for an array of cost levels known valid."""
@@ -182,20 +170,16 @@ class CostFunction:
 
     def slope(self, x):
         """Marginal cost at effort x >= 0."""
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ArgumentError(f"effort must be nonnegative, got {x!r}")
+        return _elementwise(self._slope, x, 0.0, np.inf, "effort")
+
+    def _slope(self, arr: np.ndarray) -> np.ndarray:
         if self.kind == LINEAR:
-            out = np.full_like(arr, self.theta)
-        elif self.kind == POWER:
-            out = self.theta * self.exponent * np.power(arr, self.exponent - 1.0)
-        else:
-            x_last, _ = self.points[-1]
-            deriv = self._interp.derivative()
-            out = np.where(arr <= x_last, deriv(np.minimum(arr, x_last)), self._last_slope)
-        return float(out[0]) if scalar else out
+            return np.full_like(arr, self.theta)
+        if self.kind == POWER:
+            return self.theta * self.exponent * np.power(arr, self.exponent - 1.0)
+        x_last, _ = self.points[-1]
+        deriv = self._interp.derivative()
+        return np.where(arr <= x_last, deriv(np.minimum(arr, x_last)), self._last_slope)
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -348,7 +332,7 @@ def validate_environment(env: ContestEnvironment, contest=None, x_max: float | N
             grid = (float(xs[0]), float(xs[-1]), _ORDERING_GRID_POINTS)
             h = 1e-6 * xs
             slopes = np.array(
-                [(cf.evaluate(xs + h) - cf.evaluate(xs - h)) / (2.0 * h) for cf in env.types]
+                [(cf._evaluate(xs + h) - cf._evaluate(xs - h)) / (2.0 * h) for cf in env.types]
             )
             for i in range(env.n_types - 1):
                 bad = np.nonzero(slopes[i] <= slopes[i + 1])[0]

@@ -50,7 +50,14 @@ class FeasibleSet:
         )
 
     def vertices(self) -> list[Contest]:
-        return enumerate_vertices(self.n_opponents, self.budget)
+        """Extreme points of the set; see enumerate_vertices."""
+        n = self.n_opponents
+        out = [Contest((0.0,) * (n + 1))]
+        for j in range(1, n + 1):
+            paid = n - j + 1
+            prizes = [0.0] * (n + 1 - paid) + [self.budget / paid] * paid
+            out.append(Contest(tuple(prizes)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -74,16 +81,7 @@ def enumerate_vertices(n_opponents: int, budget: float) -> list[Contest]:
     splitting the budget equally over the top N-j+1 ranks. j = N is
     winner-takes-all; j = 1 pays every rank but the last.
     """
-    if not isinstance(n_opponents, (int, np.integer)) or n_opponents < 1:
-        raise ArgumentError(f"n_opponents must be a positive integer, got {n_opponents!r}")
-    if not budget > 0.0:
-        raise ArgumentError(f"budget must be positive, got {budget!r}")
-    out = [Contest((0.0,) * (n_opponents + 1))]
-    for j in range(1, n_opponents + 1):
-        paid = n_opponents - j + 1
-        prizes = [0.0] * (n_opponents + 1 - paid) + [budget / paid] * paid
-        out.append(Contest(tuple(prizes)))
-    return out
+    return FeasibleSet(n_opponents, budget).vertices()
 
 
 def _label(contest: Contest, budget: float) -> str:

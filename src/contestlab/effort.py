@@ -10,6 +10,7 @@ alpha . v whose coefficients depend only on the type distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from ._quad import _NODES, _WEIGHTS, QUAD_TOL, adaptive
 from .costs import TABULATED, ContestEnvironment
 from .equilibrium import Equilibrium
 from .errors import ArgumentError, CapabilityError
-from .kernels import Contest, _ladder_dot, _pmf_rows, _upper_tails
+from .kernels import Contest, _check_opponents, _ladder_dot, _pmf_rows, _upper_tails
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,12 @@ def _check_solved(env: ContestEnvironment, contest: Contest, eqm) -> Equilibrium
     return eqm
 
 
+def _check_tol(tol: float) -> None:
+    # adaptive never meets a tolerance that is NaN or not positive
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ArgumentError(f"tol must be finite and positive, got {tol!r}")
+
+
 def expected_effort(
     env: ContestEnvironment,
     contest: Contest,
@@ -61,6 +68,7 @@ def expected_effort(
     always panel endpoints.
     """
     _check_solved(env, contest, eqm)
+    _check_tol(tol)
     prizes = np.asarray(contest.prizes)
     total = 0.0
     for k in range(1, env.n_types + 1):
@@ -72,6 +80,7 @@ def expected_effort_per_type(eqm: Equilibrium, k: int, tol: float = QUAD_TOL) ->
     """Expected effort of an agent conditional on being type k."""
     env = eqm.env
     env.type_at(k)
+    _check_tol(tol)
     p_k = env.probs[k - 1]
     prizes = np.asarray(eqm.contest.prizes)
     return _segment_integral(env, prizes, k, eqm.utilities[k - 1], tol) / p_k
@@ -83,7 +92,7 @@ def _segment_integral(env, prizes: np.ndarray, k: int, u_k: float, tol: float) -
     n = prizes.size - 1
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        return cf.inverse(np.maximum(_ladder_dot(prizes, n, ts) - u_k, 0.0))
+        return cf._inverse(np.maximum(_ladder_dot(prizes, n, ts) - u_k, 0.0))
 
     return adaptive(integrand, env.cumulative[k - 1], env.cumulative[k], tol=tol)
 
@@ -194,6 +203,5 @@ def expected_cost(env: ContestEnvironment, contest: Contest) -> float:
     """
     if not env.parametric:
         raise CapabilityError("expected cost in closed form needs a parametric type-space")
-    if env.n_others != contest.n_opponents:
-        raise ArgumentError("environment and contest disagree on the number of opponents")
+    _check_opponents(env, contest)
     return alpha_coefficients(env, cost_space=True).dot(contest)

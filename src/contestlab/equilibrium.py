@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _elementwise
 from .costs import ContestEnvironment, validate_environment
 from .errors import ArgumentError, CapabilityError, NumericError
-from .kernels import Contest, prize_expectation, prize_expectation_inverse
+from .kernels import Contest, _check_opponents, _prize_curve, _prize_inverse
 
 # Absolute agreement (in prize-value units) required between the iterative
 # solver and any closed form that claims to reproduce it.
@@ -44,8 +45,7 @@ class Equilibrium:
 
 
 def _check_pair(env: ContestEnvironment, contest: Contest) -> None:
-    if env.n_others != contest.n_opponents:
-        raise ArgumentError("environment and contest disagree on the number of opponents")
+    _check_opponents(env, contest)
     if contest.degenerate:
         raise ArgumentError("equilibrium needs a positive top prize")
 
@@ -61,26 +61,27 @@ def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
     if not report.passed:
         raise ArgumentError(f"invalid environment: {report.failures[0]}")
 
-    pis = prize_expectation(contest, np.asarray(env.cumulative)).tolist()  # pis[0] == 0
+    pis = _prize_curve(contest, np.asarray(env.cumulative)).tolist()  # pis[0] == 0
     boundaries = [0.0]
     utilities = []
     for k in range(1, env.n_types + 1):
         cf = env.types[k - 1]
-        u_k = pis[k - 1] - cf.evaluate(boundaries[-1])
+        u_k = pis[k - 1] - float(cf._evaluate(np.array([boundaries[-1]]))[0])
         level = pis[k] - u_k
         if level < 0.0:
             if level < -1e-12 * contest.top_prize:
                 raise NumericError(f"negative cost level {level!r} while inverting type {k}")
             level = 0.0
         try:
-            b_k = float(cf.inverse(level))
+            b_k = float(cf._inverse(np.array([level]))[0])
         except Exception as exc:  # noqa: BLE001 - annotate which type failed
             raise NumericError(f"cost inversion failed for type {k}: {exc}") from exc
         boundaries.append(b_k)
         utilities.append(u_k)
 
     for k in range(1, len(boundaries)):
-        if boundaries[k] <= boundaries[k - 1]:
+        # written so that a NaN boundary also fails
+        if not boundaries[k] > boundaries[k - 1]:
             raise NumericError(f"boundary points failed to increase at type {k}")
 
     return Equilibrium(
@@ -108,7 +109,7 @@ def utilities_closed_form(env: ContestEnvironment, contest: Contest) -> tuple[fl
     _require_parametric(env)
     _check_pair(env, contest)
     thetas = env.thetas
-    pis = prize_expectation(contest, np.asarray(env.cumulative[1:])).tolist()
+    pis = _prize_curve(contest, np.asarray(env.cumulative[1:])).tolist()
     utilities = []
     acc = 0.0
     for k in range(1, env.n_types + 1):
@@ -128,7 +129,7 @@ def boundaries_closed_form(env: ContestEnvironment, contest: Contest) -> tuple[f
     _check_pair(env, contest)
     thetas = env.thetas
     exponent = env.base_exponent
-    pis = prize_expectation(contest, np.asarray(env.cumulative)).tolist()
+    pis = _prize_curve(contest, np.asarray(env.cumulative)).tolist()
     level = 0.0
     out = []
     for k in range(1, env.n_types + 1):
@@ -151,10 +152,10 @@ def _mixing_cdf(eqm: Equilibrium, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
     levels = np.empty_like(x)
     for k in np.unique(seg):
         mask = seg == k
-        levels[mask] = env.types[k - 1].evaluate(x[mask]) + eqm.utilities[k - 1]
+        levels[mask] = env.types[k - 1]._evaluate(x[mask]) + eqm.utilities[k - 1]
     # cost levels beyond the top prize clamp to certainty of winning:
     # off-support and perturbed queries are legitimate probes here
-    ts = prize_expectation_inverse(eqm.contest, np.clip(levels, 0.0, eqm.contest.top_prize))
+    ts = _prize_inverse(eqm.contest, np.clip(levels, 0.0, eqm.contest.top_prize))
     p_lo = np.asarray(env.cumulative)[seg - 1]
     return np.clip((ts - p_lo) / np.asarray(env.probs)[seg - 1], 0.0, 1.0)
 
@@ -168,15 +169,15 @@ def type_cdf(eqm: Equilibrium, k: int, x):
     eqm.env.type_at(k)  # rejects an out-of-range k
     b_lo, b_hi = eqm.boundaries[k - 1], eqm.boundaries[k]
 
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    below = arr <= b_lo
-    inside = ~(below | (arr >= b_hi))
-    out = np.where(below, 0.0, 1.0)
-    if np.any(inside):
-        out[inside] = _mixing_cdf(eqm, np.full(np.count_nonzero(inside), k), arr[inside])
-    return float(out[0]) if scalar else out
+    def core(arr: np.ndarray) -> np.ndarray:
+        below = arr <= b_lo
+        inside = ~(below | (arr >= b_hi))
+        out = np.where(below, 0.0, 1.0)
+        if np.any(inside):
+            out[inside] = _mixing_cdf(eqm, np.full(np.count_nonzero(inside), k), arr[inside])
+        return out
+
+    return _elementwise(core, x, -np.inf, np.inf, "effort")
 
 
 def exante_cdf(eqm: Equilibrium, x):
@@ -188,17 +189,17 @@ def exante_cdf(eqm: Equilibrium, x):
     env = eqm.env
     boundaries = np.asarray(eqm.boundaries)
 
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.where(arr <= 0.0, 0.0, 1.0)
-    interior = (arr > 0.0) & (arr < boundaries[-1])
-    if np.any(interior):
-        xi = arr[interior]
-        seg = np.clip(np.searchsorted(boundaries, xi, side="left"), 1, env.n_types)
-        p_lo = np.asarray(env.cumulative)[seg - 1]
-        out[interior] = p_lo + np.asarray(env.probs)[seg - 1] * _mixing_cdf(eqm, seg, xi)
-    return float(out[0]) if scalar else out
+    def core(arr: np.ndarray) -> np.ndarray:
+        out = np.where(arr <= 0.0, 0.0, 1.0)
+        interior = (arr > 0.0) & (arr < boundaries[-1])
+        if np.any(interior):
+            xi = arr[interior]
+            seg = np.clip(np.searchsorted(boundaries, xi, side="left"), 1, env.n_types)
+            p_lo = np.asarray(env.cumulative)[seg - 1]
+            out[interior] = p_lo + np.asarray(env.probs)[seg - 1] * _mixing_cdf(eqm, seg, xi)
+        return out
+
+    return _elementwise(core, x, -np.inf, np.inf, "effort")
 
 
 def sample(eqm: Equilibrium, k: int, unit_draw):
@@ -209,16 +210,13 @@ def sample(eqm: Equilibrium, k: int, unit_draw):
     net of the type's utility. Randomness policy stays with the caller, which
     supplies the unit draw.
     """
-    cf = eqm.env.type_at(k)
-    p_lo = eqm.env.cumulative[k - 1]
-    p_k = eqm.env.probs[k - 1]
-    u_k = eqm.utilities[k - 1]
+    eqm.env.type_at(k)  # rejects an out-of-range k
+    return _elementwise(lambda arr: _draw(eqm, k, arr), unit_draw, 0.0, 1.0, "unit draw")
 
-    arr = np.asarray(unit_draw, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ArgumentError(f"unit draw must lie in [0, 1], got {unit_draw!r}")
-    levels = np.atleast_1d(prize_expectation(eqm.contest, p_lo + p_k * arr)) - u_k
-    out = np.atleast_1d(cf.inverse(np.maximum(levels, 0.0)))
-    return float(out[0]) if scalar else out
+
+def _draw(eqm: Equilibrium, k: int, arr: np.ndarray) -> np.ndarray:
+    """sample without argument checks, for unit draws known to lie in [0, 1]."""
+    env = eqm.env
+    ts = env.cumulative[k - 1] + env.probs[k - 1] * arr
+    levels = _prize_curve(eqm.contest, ts) - eqm.utilities[k - 1]
+    return env.types[k - 1]._inverse(np.maximum(levels, 0.0))

@@ -7,8 +7,11 @@ probability C(N, m) t^m (1-t)^(N-m); weighting the prize ladder by these
 probabilities gives the expected prize as a function of t, which is the
 object every other module is built on.
 
-All t-arguments accept either a scalar or a numpy array and return the
-matching shape.
+The public functions of t take a scalar or an array of any shape: t is
+checked once to be finite and in [0, 1] (ArgumentError otherwise), and the
+result has t's shape, a scalar t giving a Python float (see
+_quad._elementwise). Internal loops call the unchecked cores _pmf_rows,
+_ladder_dot, _prize_curve, _prize_slope and _prize_inverse on flat arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._quad import _monotone_inverse
+from ._quad import _elementwise, _monotone_inverse
 from .errors import ArgumentError, DomainError
 
 # Absolute tolerance on t for the bisection inverse of the prize curve.
@@ -81,16 +84,9 @@ def _check_index(n: int, m: int) -> None:
         raise ArgumentError(f"m must lie in [0, {n}], got {m!r}")
 
 
-def _as_prob(t):
-    """Validate t in [0, 1]; return (array view, was_scalar)."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ArgumentError(f"t must lie in [0, 1], got {t!r}")
-    return arr, arr.ndim == 0
-
-
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+def _check_opponents(env, contest: Contest) -> None:
+    if env.n_others != contest.n_opponents:
+        raise ArgumentError("environment and contest disagree on the number of opponents")
 
 
 def binom_pmf(n: int, m: int, t):
@@ -101,9 +97,7 @@ def binom_pmf(n: int, m: int, t):
     exactly.
     """
     _check_index(n, m)
-    arr, scalar = _as_prob(t)
-    out = _pmf_rows(n, np.atleast_1d(arr), rows=[m])[0]
-    return _ret(out[0] if scalar else out, scalar)
+    return _elementwise(lambda arr: _pmf_rows(n, arr, rows=[m])[0], t, 0.0, 1.0, "t")
 
 
 def binom_tail(n: int, m: int, t, side: str):
@@ -115,9 +109,7 @@ def binom_tail(n: int, m: int, t, side: str):
         rows = np.arange(m, n + 1)
     else:
         raise ArgumentError(f"side must be 'at_most' or 'at_least', got {side!r}")
-    arr, scalar = _as_prob(t)
-    total = _pmf_rows(n, np.atleast_1d(arr), rows=rows).sum(axis=0)
-    return _ret(total[0] if scalar else total, scalar)
+    return _elementwise(lambda arr: _pmf_rows(n, arr, rows=rows).sum(axis=0), t, 0.0, 1.0, "t")
 
 
 @lru_cache(maxsize=256)
@@ -172,10 +164,11 @@ def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
 
 def prize_expectation(contest: Contest, t):
     """Expected prize for an agent beating each opponent independently w.p. t."""
-    arr, scalar = _as_prob(t)
-    arr = np.atleast_1d(arr)
-    total = _ladder_dot(np.asarray(contest.prizes), contest.n_opponents, arr)
-    return _ret(total[0] if scalar else total, scalar)
+    return _elementwise(lambda arr: _prize_curve(contest, arr), t, 0.0, 1.0, "t")
+
+
+def _prize_curve(contest: Contest, arr: np.ndarray) -> np.ndarray:
+    return _ladder_dot(np.asarray(contest.prizes), contest.n_opponents, arr)
 
 
 def prize_expectation_derivative(contest: Contest, t):
@@ -184,12 +177,13 @@ def prize_expectation_derivative(contest: Contest, t):
     Uses the telescoped form N * sum_m (v_{m+1} - v_m) * pmf(N-1, m, t), which
     is nonnegative whenever the prize ladder is nondecreasing.
     """
-    arr, scalar = _as_prob(t)
-    arr = np.atleast_1d(arr)
+    return _elementwise(lambda arr: _prize_slope(contest, arr), t, 0.0, 1.0, "t")
+
+
+def _prize_slope(contest: Contest, arr: np.ndarray) -> np.ndarray:
     n = contest.n_opponents
     gaps = np.diff(np.asarray(contest.prizes))
-    total = n * _ladder_dot(gaps, n - 1, arr) if n > 1 else gaps[0] * np.ones_like(arr)
-    return _ret(total[0] if scalar else total, scalar)
+    return n * _ladder_dot(gaps, n - 1, arr) if n > 1 else gaps[0] * np.ones_like(arr)
 
 
 def prize_expectation_inverse(contest: Contest, y):
@@ -198,25 +192,27 @@ def prize_expectation_inverse(contest: Contest, y):
     Bracketing bisection on [0, 1]; the curve is strictly increasing on (0, 1)
     whenever the top prize is positive, and the slope may vanish at the
     endpoints, which rules out Newton steps. Accepts a scalar or an array of
-    target values.
+    target values; targets within 1e-12 * max(1, top prize) outside [0, top
+    prize] are clipped to it, and farther ones raise DomainError.
     """
     if contest.degenerate:
         raise DomainError("expected prize is constant for an all-zero contest")
     top = contest.top_prize
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     slack = 1e-12 * max(top, 1.0)
-    if np.any(~np.isfinite(arr)) or np.any(arr < -slack) or np.any(arr > top + slack):
-        raise DomainError(f"target prize must lie in [0, {top}], got {y!r}")
-    arr = np.clip(arr, 0.0, top)
+    return _elementwise(
+        lambda arr: _prize_inverse(contest, np.clip(arr, 0.0, top)),
+        y, -slack, top + slack, "target prize", DomainError,
+    )
 
+
+def _prize_inverse(contest: Contest, arr: np.ndarray) -> np.ndarray:
+    """prize_expectation_inverse for targets in [0, top prize], top prize > 0."""
     out = _monotone_inverse(
-        lambda t: prize_expectation(contest, t), arr, 0.0, 1.0, steps=64, tol=1e-15
+        lambda t: _prize_curve(contest, t), arr, 0.0, 1.0, steps=64, tol=1e-15
     )
     out[arr == 0.0] = 0.0
-    out[arr == top] = 1.0
-    return _ret(out[0] if scalar else out, scalar)
+    out[arr == contest.top_prize] = 1.0
+    return out
 
 
 def type_prize_integral(env, contest: Contest, k: int) -> float:
@@ -226,12 +222,9 @@ def type_prize_integral(env, contest: Contest, k: int) -> float:
     endpoints: the tail of N+1 trials antidifferentiates the N-trial pmf after
     dividing by N+1.
     """
+    env.type_at(k)  # rejects an out-of-range k
+    _check_opponents(env, contest)
     cumulative = env.cumulative
-    n_types = len(cumulative) - 1
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > n_types:
-        raise ArgumentError(f"type index must lie in [1, {n_types}], got {k!r}")
-    if env.n_others != contest.n_opponents:
-        raise ArgumentError("environment and contest disagree on the number of opponents")
     n = contest.n_opponents
     tails = _upper_tails(n + 1, np.array([cumulative[k - 1], cumulative[k]]))
     return float(np.asarray(contest.prizes[1:]) @ (tails[2:, 1] - tails[2:, 0])) / (n + 1)

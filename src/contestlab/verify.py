@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ContestEnvironment
-from .equilibrium import Equilibrium, exante_cdf, sample
+from .equilibrium import Equilibrium, _draw, exante_cdf
 from .errors import ArgumentError
-from .kernels import Contest, prize_expectation
+from .kernels import Contest, _prize_curve
 
 _MC_CHUNK = 1 << 17
 
@@ -81,9 +81,7 @@ def best_response_gap(
         np.linspace(0.0, 1.5 * eqm.max_effort, grid_size),
         np.array([b_lo, b_hi]),
     )
-    payoff = np.atleast_1d(
-        prize_expectation(contest, exante_cdf(eqm, xs))
-    ) - cf.evaluate(xs)
+    payoff = _prize_curve(contest, exante_cdf(eqm, xs)) - cf._evaluate(xs)
     advantage = payoff - u_k
     arg = int(np.argmax(advantage))
 
@@ -133,7 +131,7 @@ def monte_carlo_effort(
         efforts = np.empty(size)
         for idx in np.unique(kinds):
             mask = kinds == idx
-            efforts[mask] = np.atleast_1d(sample(eqm, int(idx) + 1, draws[mask]))
+            efforts[mask] = _draw(eqm, int(idx) + 1, draws[mask])
         total += float(np.sum(efforts))
         total_sq += float(np.sum(efforts * efforts))
 

@@ -249,6 +249,33 @@ format = json
         assert "must be" in capsys.readouterr().err
 
 
+    @staticmethod
+    def _with_output_key(tmp_path, front_end, key, value):
+        if front_end == "text":
+            text = TWO_TYPE_SOLVE.replace("seed = 7", f"seed = 7\n{key} = {value}")
+            return _write(tmp_path, text)
+        payload = {
+            "environment": TestExitCodes._ENV,
+            "contest": {"prizes": [0, 0, 1]},
+            "command": {"name": "solve"},
+            "output": {key: float(value)},
+        }
+        return _write(tmp_path, json.dumps(payload), "tol.json")
+
+    @pytest.mark.parametrize("front_end", ["text", "json"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_unmeetable_tolerance_is_a_validation_error(self, tmp_path, capsys, front_end, value):
+        path = self._with_output_key(tmp_path, front_end, "tol_quad", value)
+        assert main([path, "--out", "-"]) == EXIT_VALIDATION
+        assert "tol_quad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("front_end", ["text", "json"])
+    def test_unknown_tolerance_key_is_a_schema_error(self, tmp_path, capsys, front_end):
+        path = self._with_output_key(tmp_path, front_end, "tol_banana", "3")
+        assert main([path, "--out", "-"]) == EXIT_SCHEMA
+        assert "tol_banana" in capsys.readouterr().err
+
+
 class TestRunCommands:
     def test_solve_report_contents(self, tmp_path, capsys):
         path = _write(tmp_path, TWO_TYPE_SOLVE)

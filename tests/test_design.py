@@ -50,6 +50,11 @@ class TestEnumerateVertices:
         with pytest.raises(ArgumentError):
             enumerate_vertices(3, 0.0)
 
+    def test_rejects_bad_opponent_count(self):
+        for n in (0, 2.0):
+            with pytest.raises(ArgumentError):
+                enumerate_vertices(n, 1.0)
+
 
 class TestFeasibleSet:
     def test_contains_its_own_vertices(self):

@@ -62,6 +62,15 @@ class TestExpectedEffort:
         assert value(combined) == pytest.approx(value(v) + s * value(w), abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_rejects_tolerance_that_cannot_be_met(two_type_env, top_prize_contest, tol):
+    eqm = solve(two_type_env, top_prize_contest)
+    with pytest.raises(ArgumentError):
+        expected_effort(two_type_env, top_prize_contest, eqm, tol=tol)
+    with pytest.raises(ArgumentError):
+        expected_effort_per_type(eqm, 1, tol=tol)
+
+
 class TestPerTypeEffort:
     def test_single_type_matches_total(self, single_type_env, top_prize_contest):
         eqm = solve(single_type_env, top_prize_contest)

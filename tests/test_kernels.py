@@ -8,14 +8,20 @@ from scipy.stats import binom
 
 from contestlab import (
     ArgumentError,
+    CompetitionQuery,
     Contest,
+    ContinuumEnvironment,
     DomainError,
     binom_pmf,
     binom_tail,
+    competition_effect_numeric,
+    continuum_strategy,
+    expected_cost,
     is_more_competitive,
     prize_expectation,
     prize_expectation_derivative,
     prize_expectation_inverse,
+    solve,
     type_prize_integral,
 )
 from contestlab.costs import ContestEnvironment, CostFunction
@@ -246,6 +252,31 @@ class TestTypePrizeIntegral:
     def test_rejects_bad_index(self, two_type_env, top_prize_contest):
         with pytest.raises(ArgumentError):
             type_prize_integral(two_type_env, top_prize_contest, 3)
+
+
+class TestOpponentCheck:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda env, contest: type_prize_integral(env, contest, 1),
+            lambda env, contest: expected_cost(env, contest),
+            lambda env, contest: solve(env, contest),
+            lambda env, contest: competition_effect_numeric(env, contest, CompetitionQuery(2, 1)),
+            lambda env, contest: continuum_strategy(
+                ContinuumEnvironment.uniform(env.n_others, 1.0, 2.0), contest, 1.5
+            ),
+        ],
+        ids=[
+            "type_prize_integral",
+            "expected_cost",
+            "solve",
+            "competition_effect_numeric",
+            "continuum_strategy",
+        ],
+    )
+    def test_mismatched_counts_raise_one_error(self, two_type_env, call):
+        with pytest.raises(ArgumentError, match="disagree on the number of opponents"):
+            call(two_type_env, Contest((0.0, 0.0, 0.0, 1.0)))
 
 
 class TestLorenzOrder:
