@@ -48,14 +48,21 @@ def gauss_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> fl
 
 
 def gauss_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
-    """gauss_panel over 1-D arrays of panel ends, with f called on a block of panels at once."""
+    """gauss_panel over 1-D arrays of panel ends, with f called on a block of panels at once.
+
+    Each panel is summed on its own row by einsum, not by a BLAS
+    matrix-vector product, whose summation order for a row depends on the
+    row's place in the block: a panel's value must not depend on which
+    other panels share the call.
+    """
     out = np.empty_like(a)
     for i in range(0, a.size, _PANEL_BLOCK):
         lo, hi = a[i : i + _PANEL_BLOCK], b[i : i + _PANEL_BLOCK]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _NODES
-        out[i : i + _PANEL_BLOCK] = half * (f(nodes.ravel()).reshape(nodes.shape) @ _WEIGHTS)
+        values = f(nodes.ravel()).reshape(nodes.shape)
+        out[i : i + _PANEL_BLOCK] = half * np.einsum("ij,j->i", values, _WEIGHTS)
     return out
 
 

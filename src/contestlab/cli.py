@@ -6,7 +6,10 @@ experiment sweeps; a JSON document with the same schema is accepted
 interchangeably. Every run is deterministic given its config and seed, and
 reports are written atomically.
 
-Exit codes: 0 ok, 2 parse, 3 schema, 4 validation, 5 numeric, 6 I/O.
+Exit codes: 0 ok, 1 internal error (a bug: please report it), 2 parse,
+3 schema (unknown, misplaced or mistyped field), 4 validation (a value out
+of range, in the config or an option the library rejects), 5 numeric,
+6 I/O.
 """
 
 from __future__ import annotations
@@ -26,39 +29,24 @@ from typing import Any
 from . import __version__
 from .competition import CompetitionQuery, attach_numeric_estimate, classify
 from .continuum import ContinuumEnvironment, convergence_report
-from .costs import ContestEnvironment, CostFunction, validate_environment
+from .costs import LINEAR, POWER, TABULATED, ContestEnvironment, CostFunction, validate_environment
 from .design import optimize_budget
 from .effort import alpha_coefficients, expected_effort, expected_effort_per_type
-from .equilibrium import EQM_TOL, solve
-from .errors import ContestError
+from .equilibrium import solve
+from .errors import ArgumentError, ContestError
 from ._quad import QUAD_TOL
-from .kernels import ROOT_TOL, Contest
+from .kernels import Contest
 from .verify import verification_report
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_SCHEMA = 3
 EXIT_VALIDATION = 4
 EXIT_NUMERIC = 5
 EXIT_IO = 6
 
-_DEFAULT_TOLERANCES = {
-    "tol_root": ROOT_TOL,
-    "tol_eqm": EQM_TOL,
-    "tol_quad": QUAD_TOL,
-}
-
-_COMMANDS = {
-    "solve": (),
-    "effort": (),
-    "alpha": ("cost_space",),
-    "compare": ("m", "m_prime", "numeric", "step"),
-    "optimize": ("mode",),
-    "verify": ("n_samples", "grid_size"),
-    "converge": ("n_list", "grid_points"),
-}
-
-_SECTIONS = ("environment", "contest", "command", "output")
+_DEFAULT_TOLERANCES = {"tol_quad": QUAD_TOL}
 
 
 class ConfigError(ContestError):
@@ -105,13 +93,136 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing: text and JSON front ends producing one raw mapping
+# the config schema, written once, and the text and JSON front ends that
+# produce one typed mapping through it
 # ---------------------------------------------------------------------------
 
+# [environment] fields of a finite type space (every command but converge);
+# "table_<k>" stands for table_1, table_2, ...: type k's cost table
+_FINITE = {
+    "n_others": "int",
+    "types": "str list",  # or, in JSON, a list of type records (_RECORD)
+    "thetas": "float list",
+    "exponents": "float list",
+    "probs": "float list",
+    "table_<k>": "float pairs",
+}
+# [environment] fields of a continuum of types (converge)
+_CONTINUUM = {
+    "n_others": "int",
+    "family": "str",
+    "support": "float list",
+    "shape": "float",
+    "table": "float pairs",
+}
+# command -> (options it takes, with their kinds; options it requires).
+# Options are passed to the library as keyword arguments, so their defaults
+# live there.
+_COMMANDS = {
+    "solve": ({}, ()),
+    "effort": ({}, ()),
+    "alpha": ({"cost_space": "bool"}, ()),
+    "compare": (
+        {"m": "int", "m_prime": "int", "numeric": "bool", "step": "float"},
+        ("m", "m_prime"),
+    ),
+    "optimize": ({"mode": "str"}, ()),
+    "verify": ({"n_samples": "int", "grid_size": "int"}, ()),
+    "converge": ({"n_list": "int list", "grid_points": "int"}, ("n_list",)),
+}
+_OPTIONS = {key: kind for takes, _ in _COMMANDS.values() for key, kind in takes.items()}
+# section -> field -> kind. "int", "float", "bool" and "str" are one value;
+# "<scalar> list" is a nonempty list of them (comma-separated in text) and
+# "float pairs" a nonempty list of [x, y] ("x:y; x:y" in text).
+_SCHEMA = {
+    "environment": {**_FINITE, **_CONTINUUM},
+    "contest": {"prizes": "float list", "budget": "float"},
+    "command": {"name": "str", **_OPTIONS},
+    "output": {
+        "format": "str",
+        "path": "str",
+        "seed": "int",
+        "tol_quad": "float",
+        # accepted for compatibility and ignored, like --jobs: nothing reads them
+        "tol_root": "float",
+        "tol_eqm": "float",
+    },
+}
 
-def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: dict[str, tuple[str, int]] | None = None
+# Fields of one type record, the JSON alternative to the spread lists.
+_RECORD = {
+    "kind": "str",
+    "prob": "float",
+    "theta": "float",
+    "exponent": "float",
+    "table": "float pairs",
+}
+# spread list (one value per type) -> the type-record field it fills
+_SPREAD = {"thetas": "theta", "exponents": "exponent", "probs": "prob", "table_<k>": "table"}
+
+
+_TEXT_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+# scalar kind -> (parser of a text value, type of a decoded JSON value)
+_SCALARS = {
+    "int": (int, int),
+    "float": (float, float),
+    "bool": (lambda raw: _TEXT_BOOLS[raw.lower()], bool),
+    "str": (str, str),
+}
+
+
+def _pattern(key: str) -> str:
+    return "table_<k>" if key.startswith("table_") and key[6:].isdecimal() else key
+
+
+def _kind(fields: dict, key: str, where: str, place: str) -> str:
+    """The kind fields gives key; a field it does not list is a schema error."""
+    kind = fields.get(_pattern(key))
+    if kind is None:
+        raise ConfigSchemaError(f"{where} is not a field of {place}")
+    return kind
+
+
+def _scalar(where: str, value, scalar: str, kind: str, text: bool):
+    parse, json_type = _SCALARS[scalar]
+    try:
+        if text:
+            return parse(value)
+        if type(value) is json_type:
+            return value
+        if scalar == "float" and type(value) is int:
+            return float(value)
+    except (ValueError, OverflowError, KeyError):
+        pass
+    raise ConfigSchemaError(f"{where} must be {kind}, got {value!r}")
+
+
+def _typed(where: str, value, kind: str, text: bool):
+    """value as kind: parsed from a text config's string, or checked as decoded JSON."""
+    scalar, _, shape = kind.partition(" ")
+    if not shape:
+        return _scalar(where, value, scalar, kind, text)
+    given = value
+    if text:
+        pieces = [piece.strip() for piece in value.split(";" if shape == "pairs" else ",")]
+        value = [piece.split(":") if shape == "pairs" else piece for piece in pieces if piece]
+    if (
+        not isinstance(value, list)
+        or not value
+        or (shape == "pairs" and not all(isinstance(p, list) and len(p) == 2 for p in value))
+    ):
+        raise ConfigSchemaError(f"{where} must be {kind}, got {given!r}")
+    if shape == "pairs":
+        return [[_scalar(where, v, scalar, kind, text) for v in pair] for pair in value]
+    return [_scalar(where, v, scalar, kind, text) for v in value]
+
+
+def _read_text(text: str) -> tuple[dict[str, dict[str, str]], dict[tuple[str, str], int]]:
+    """The sections of a text config, and the line of each field."""
+    sections: dict[str, dict[str, str]] = {}
+    lines: dict[tuple[str, str], int] = {}
+    current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,7 +235,7 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ConfigParseError(f"line {lineno}: empty section name")
             if name in sections:
                 raise ConfigParseError(f"line {lineno}: duplicate section [{name}]")
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ConfigSchemaError(f"line {lineno}: unknown section [{name}]")
             current = {}
             sections[name] = current
@@ -137,379 +248,189 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ConfigParseError(f"line {lineno}: missing key before '='")
             if key in current:
                 raise ConfigParseError(f"line {lineno}: duplicate key {key!r}")
-            current[key] = (value.strip(), lineno)
+            current[key] = value.strip()
+            lines[name, key] = lineno
         else:
             raise ConfigParseError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-    return sections
+    return sections, lines
 
 
-def _where(key: str, line: int) -> str:
-    return f"line {line}: field '{key}'" if line > 0 else f"field '{key}'"
+def _where(lines: dict, section: str, key: str) -> str:
+    """Names a field in an error message, with its line in a text config."""
+    line = lines.get((section, key))
+    return f"line {line}: field '{key}'" if line else f"field '{key}'"
 
 
-def _coerce_scalar(key: str, raw: str, kind: str, line: int):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ConfigSchemaError(f"{_where(key, line)} must be {kind}, got {raw!r}") from None
-
-
-def _coerce(key: str, raw: str, kind: str, line: int):
-    if kind.startswith("list:"):
-        inner = kind.split(":", 1)[1]
-        items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-        if not items:
-            raise ConfigSchemaError(f"{_where(key, line)} must be a nonempty list")
-        return [_coerce_scalar(key, item, inner, line) for item in items]
-    if kind == "pairs":
-        pairs = []
-        for piece in raw.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            left, sep, right = piece.partition(":")
-            if not sep:
-                raise ConfigSchemaError(f"{_where(key, line)} pairs must look like 'x:y'")
-            pairs.append(
-                [
-                    _coerce_scalar(key, left.strip(), "float", line),
-                    _coerce_scalar(key, right.strip(), "float", line),
-                ]
-            )
-        if not pairs:
-            raise ConfigSchemaError(f"{_where(key, line)} must list at least one pair")
-        return pairs
-    return _coerce_scalar(key, raw, kind, line)
-
-
-# key -> coercion kind, shared by every section (key names are globally unique)
-_KEY_KINDS = {
-    "n_others": "int",
-    "types": "list:str",
-    "thetas": "list:float",
-    "exponents": "list:float",
-    "probs": "list:float",
-    "family": "str",
-    "support": "list:float",
-    "shape": "float",
-    "table": "pairs",
-    "prizes": "list:float",
-    "budget": "float",
-    "name": "str",
-    "m": "int",
-    "m_prime": "int",
-    "numeric": "bool",
-    "step": "float",
-    "mode": "str",
-    "n_samples": "int",
-    "grid_size": "int",
-    "n_list": "list:int",
-    "grid_points": "int",
-    "cost_space": "bool",
-    "format": "str",
-    "path": "str",
-    "seed": "int",
-    **{key: "float" for key in _DEFAULT_TOLERANCES},
-}
-
-
-def _raw_from_text(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict[str, int]]]:
-    sections = _read_sections(text)
-    raw: dict[str, dict[str, Any]] = {}
-    lines: dict[str, dict[str, int]] = {}
-    for name, entries in sections.items():
-        raw[name] = {}
-        lines[name] = {}
-        for key, (value, line) in entries.items():
-            if key in _KEY_KINDS:
-                kind = _KEY_KINDS[key]
-            elif key.startswith("table_"):
-                kind = "pairs"
-            else:
-                raise ConfigSchemaError(f"{_where(key, line)} is not a recognized field")
-            raw[name][key] = _coerce(key, value, kind, line)
-            lines[name][key] = line
-    return raw, lines
-
-
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
-
-
-def _check_json(key: str, value, kind: str) -> None:
-    """Reject a JSON value whose type does not fit the field's coercion kind.
-
-    JSON values arrive typed and are not converted: a string or a fraction
-    where a number or an integer belongs is a schema error here, not a
-    ValueError in a later float() or int() call.
-    """
-    if kind == "pairs":
-        pairs = isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)
-        items, inner = (sum(value, []) if pairs else None), "float"
-    elif kind.startswith("list:"):
-        items, inner = (value if isinstance(value, list) else None), kind[5:]
-    else:
-        items, inner = [value], kind
-    wanted = _JSON_TYPES.get(inner)
-    if wanted is not None and (
-        items is None
-        or any(isinstance(v, bool) != (inner == "bool") or not isinstance(v, wanted) for v in items)
-    ):
-        raise ConfigSchemaError(f"field '{key}' must be {kind}, got {value!r}")
-
-
-def _raw_from_json(text: str) -> tuple[dict[str, dict[str, Any]], dict[str, dict[str, int]]]:
+def _read_json(text: str) -> dict[str, dict[str, Any]]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"invalid JSON config: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigParseError("JSON config must be an object of sections")
-    raw: dict[str, dict[str, Any]] = {}
     for name, body in data.items():
-        if name not in _SECTIONS:
+        if name not in _SCHEMA:
             raise ConfigSchemaError(f"unknown section {name!r}")
         if not isinstance(body, dict):
             raise ConfigSchemaError(f"section {name!r} must be an object")
-        for key, value in body.items():
-            if key.startswith("table"):
-                _check_json(key, value, "pairs")
-            elif key in _KEY_KINDS:
-                _check_json(key, value, _KEY_KINDS[key])
-            elif key.startswith("tol_"):
-                raise ConfigSchemaError(f"field '{key}' is not a recognized field")
-        raw[name] = dict(body)
-    lines = {name: {} for name in raw}
-    return raw, lines
+    return data
+
+
+def _typed_fields(body: dict, fields: dict, section: str, lines: dict, text: bool) -> dict:
+    """body, a section or a type record, with each field as the kind fields gives it."""
+    typed = {}
+    for key, value in body.items():
+        where = _where(lines, section, key)
+        kind = _kind(fields, key, where, f"[{section}]")
+        if key == "types" and isinstance(value, list) and value and all(
+            isinstance(record, dict) for record in value
+        ):
+            typed[key] = [
+                _typed_fields(record, _RECORD, f"type record {idx}", lines, text)
+                for idx, record in enumerate(value, start=1)
+            ]
+        else:
+            typed[key] = _typed(where, value, kind, text)
+    return typed
 
 
 # ---------------------------------------------------------------------------
-# building a RunConfig from the raw mapping
+# building a RunConfig from the typed mapping
 # ---------------------------------------------------------------------------
 
 
-def _line(lines: dict, section: str, key: str) -> int:
-    return lines.get(section, {}).get(key, 0)
-
-
-def _require(raw: dict, lines: dict, section: str, key: str):
-    body = raw.get(section)
-    if body is None or key not in body:
+def _require(raw: dict, section: str, key: str):
+    body = raw.get(section, {})
+    if key not in body:
         raise ConfigSchemaError(f"section [{section}] is missing required field '{key}'")
     return body[key]
 
 
-def _type_records(env_body: dict, lines: dict) -> list[dict]:
+def _type_records(raw: dict, lines: dict) -> list[dict]:
     """Normalize the two accepted type layouts into per-type records."""
-    types = env_body.get("types")
-    if isinstance(types, list) and types and isinstance(types[0], dict):
-        for record in types:
-            for key in ("theta", "exponent", "prob", "table"):
-                if isinstance(record, dict) and key in record:
-                    _check_json(key, record[key], "pairs" if key == "table" else "float")
+    body = raw["environment"]
+    types = _require(raw, "environment", "types")
+    spread = [key for key in body if _pattern(key) in _SPREAD]
+    if isinstance(types[0], dict):
+        if spread:
+            raise ConfigSchemaError(f"field '{spread[0]}' cannot be given beside type records")
         return types
-    if not isinstance(types, list):
-        raise ConfigSchemaError("field 'types' must list cost kinds")
-    kinds = [str(kind) for kind in types]
-    count = len(kinds)
-
-    def spread(key: str, default=None):
-        values = env_body.get(key)
-        if values is None:
-            return [default] * count
-        if not isinstance(values, list) or len(values) != count:
-            raise ConfigSchemaError(
-                f"{_where(key, _line(lines, 'environment', key))} must list one value per type"
-            )
-        return values
-
-    thetas = spread("thetas", 1.0)
-    exponents = spread("exponents", None)
-    probs = spread("probs")
-    records = []
-    for idx, kind in enumerate(kinds):
-        record = {"kind": kind, "theta": thetas[idx], "prob": probs[idx]}
-        if exponents[idx] is not None:
-            record["exponent"] = exponents[idx]
-        table = env_body.get(f"table_{idx + 1}")
-        if table is not None:
-            record["table"] = table
-        records.append(record)
+    records = [{"kind": kind} for kind in types]
+    for key in spread:
+        where = _where(lines, "environment", key)
+        field = _SPREAD[_pattern(key)]
+        if field == "table":
+            if not 1 <= int(key[6:]) <= len(records):
+                raise ConfigSchemaError(f"{where} names no type")
+            records[int(key[6:]) - 1]["table"] = body[key]
+        elif len(body[key]) != len(records):
+            raise ConfigSchemaError(f"{where} must list one value per type")
+        else:
+            for record, value in zip(records, body[key]):
+                record[field] = value
     return records
 
 
 def _build_finite_environment(raw: dict, lines: dict) -> ContestEnvironment:
-    body = raw["environment"]
-    n_others = _require(raw, lines, "environment", "n_others")
-    if not isinstance(n_others, int):
-        raise ConfigSchemaError(f"{_where('n_others', _line(lines, 'environment', 'n_others'))} must be int")
-    records = _type_records(body, lines)
+    n_others = _require(raw, "environment", "n_others")
+    records = _type_records(raw, lines)
     types = []
-    probs = []
     for idx, record in enumerate(records, start=1):
-        if not isinstance(record, dict) or "kind" not in record or "prob" not in record:
+        if "kind" not in record or "prob" not in record:
             raise ConfigSchemaError(f"type {idx} must carry at least 'kind' and 'prob'")
-        kind = str(record["kind"])
+        if record["kind"] not in (LINEAR, POWER, TABULATED):
+            raise ConfigSchemaError(f"type {idx} has unknown kind {record['kind']!r}")
+        if record["kind"] == TABULATED and "table" not in record:
+            raise ConfigSchemaError(f"type {idx} is tabulated but has no table")
+        fields = {("points" if key == "table" else key): value for key, value in record.items()}
+        del fields["prob"]
         try:
-            if kind == "linear":
-                types.append(CostFunction.linear(float(record.get("theta", 1.0))))
-            elif kind == "power":
-                types.append(
-                    CostFunction.power(
-                        float(record.get("theta", 1.0)), float(record.get("exponent", 1.0))
-                    )
-                )
-            elif kind == "tabulated":
-                table = record.get("table")
-                if table is None:
-                    raise ConfigSchemaError(f"type {idx} is tabulated but has no table")
-                types.append(CostFunction.tabulated(table))
-            else:
-                raise ConfigSchemaError(f"type {idx} has unknown kind {kind!r}")
-        except ContestError as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            types.append(CostFunction(**fields))
+        except ArgumentError as exc:
             raise ConfigValidationError(f"type {idx}: {exc}") from None
-        probs.append(float(record["prob"]))
+    probs = tuple(record["prob"] for record in records)
     try:
-        return ContestEnvironment(n_others=n_others, types=tuple(types), probs=tuple(probs))
-    except ContestError as exc:
+        return ContestEnvironment(n_others=n_others, types=tuple(types), probs=probs)
+    except ArgumentError as exc:
         raise ConfigValidationError(f"environment: {exc}") from None
 
 
 def _build_continuum_environment(raw: dict, lines: dict) -> ContinuumEnvironment:
     body = raw["environment"]
-    n_others = _require(raw, lines, "environment", "n_others")
-    family = str(body.get("family", "uniform"))
+    n_others = _require(raw, "environment", "n_others")
+    where = _where(lines, "environment", "support")
     try:
-        if family == "tabulated":
+        if body.get("family") == TABULATED:
             # the table's endpoints define the support; a support key, if
             # given, must agree with them
-            table = body.get("table")
-            if table is None:
-                raise ConfigSchemaError("tabulated type distribution needs a 'table'")
-            env = ContinuumEnvironment.tabulated(n_others, table)
-            support = body.get("support")
-            if support is not None and (
-                float(support[0]) != env.theta_lo or float(support[1]) != env.theta_hi
-            ):
-                raise ConfigValidationError(
-                    f"{_where('support', _line(lines, 'environment', 'support'))} "
-                    "disagrees with the table endpoints"
-                )
+            env = ContinuumEnvironment.tabulated(n_others, _require(raw, "environment", "table"))
+            if body.get("support", [env.theta_lo, env.theta_hi]) != [env.theta_lo, env.theta_hi]:
+                raise ConfigValidationError(f"{where} disagrees with the table endpoints")
             return env
-        support = _require(raw, lines, "environment", "support")
-        if not isinstance(support, list) or len(support) != 2:
-            raise ConfigSchemaError(
-                f"{_where('support', _line(lines, 'environment', 'support'))} must be two numbers"
-            )
-        return ContinuumEnvironment(
-            n_others=n_others,
-            theta_lo=float(support[0]),
-            theta_hi=float(support[1]),
-            family=family,
-            shape=float(body.get("shape", 1.0)),
-        )
-    except ContestError as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        support = _require(raw, "environment", "support")
+        if len(support) != 2:
+            raise ConfigSchemaError(f"{where} must be two numbers")
+        fields = {key: body[key] for key in ("family", "shape") if key in body}
+        return ContinuumEnvironment(n_others, support[0], support[1], **fields)
+    except ArgumentError as exc:
         raise ConfigValidationError(f"environment: {exc}") from None
 
 
 def _build_contest(raw: dict, lines: dict) -> tuple[Contest | None, float | None]:
-    body = raw.get("contest") or {}
+    body = raw.get("contest", {})
     contest = None
-    budget = None
     if "prizes" in body:
         try:
-            contest = Contest(tuple(float(v) for v in body["prizes"]))
-        except ContestError as exc:
+            contest = Contest(tuple(body["prizes"]))
+        except ArgumentError as exc:
             raise ConfigValidationError(f"contest: {exc}") from None
-    if "budget" in body:
-        budget = float(body["budget"])
-        if budget <= 0.0:
-            raise ConfigValidationError(
-                f"{_where('budget', _line(lines, 'contest', 'budget'))} must be positive"
-            )
+    budget = body.get("budget")
+    if budget is not None and not (math.isfinite(budget) and budget > 0.0):
+        raise ConfigValidationError(
+            f"{_where(lines, 'contest', 'budget')} must be finite and positive"
+        )
     if budget is None and contest is not None:
         budget = contest.total_budget
     return contest, budget
 
 
 def _build_config(raw: dict, lines: dict) -> RunConfig:
-    command_body = raw.get("command")
-    if not command_body or "name" not in command_body:
-        raise ConfigSchemaError("section [command] must set 'name'")
-    command = str(command_body["name"])
+    command = _require(raw, "command", "name")
     if command not in _COMMANDS:
         raise ConfigSchemaError(
-            f"{_where('name', _line(lines, 'command', 'name'))} must be one of {sorted(_COMMANDS)}"
+            f"{_where(lines, 'command', 'name')} must be one of {sorted(_COMMANDS)}"
         )
-    allowed = _COMMANDS[command]
-    options = {}
-    for key, value in command_body.items():
-        if key == "name":
-            continue
-        if key not in allowed:
-            raise ConfigSchemaError(
-                f"{_where(key, _line(lines, 'command', key))} is not an option of '{command}'"
-            )
-        options[key] = value
-    if command == "compare":
-        for needed in ("m", "m_prime"):
-            if needed not in options:
-                raise ConfigSchemaError(f"command 'compare' requires option '{needed}'")
-    if command == "converge" and "n_list" not in options:
-        raise ConfigSchemaError("command 'converge' requires option 'n_list'")
-
-    if "environment" not in raw:
-        raise ConfigSchemaError("section [environment] is required")
-    continuum_wanted = command == "converge"
-    has_continuum_keys = "support" in raw["environment"] or "family" in raw["environment"]
-    if continuum_wanted:
-        if not has_continuum_keys:
-            raise ConfigSchemaError(
-                "command 'converge' needs a continuum environment (family/support)"
-            )
-        environment: ContestEnvironment | ContinuumEnvironment = _build_continuum_environment(
-            raw, lines
-        )
-    else:
-        if has_continuum_keys:
-            raise ConfigSchemaError(
-                f"command '{command}' needs a finite environment, not a continuum one"
-            )
-        environment = _build_finite_environment(raw, lines)
+    takes, requires = _COMMANDS[command]
+    continuum = command == "converge"
+    # the fields _SCHEMA allows in these sections, narrowed to this command
+    narrowed = {
+        "command": {"name": "str", **takes},
+        "environment": _CONTINUUM if continuum else _FINITE,
+    }
+    for section, fields in narrowed.items():
+        for key in raw.get(section, {}):
+            if _pattern(key) not in fields:
+                raise ConfigSchemaError(
+                    f"{_where(lines, section, key)} is not a field of [{section}] for '{command}'"
+                )
+    options = {key: value for key, value in raw["command"].items() if key != "name"}
+    for key in requires:
+        if key not in options:
+            raise ConfigSchemaError(f"command '{command}' requires option '{key}'")
+    build = _build_continuum_environment if continuum else _build_finite_environment
+    environment = build(raw, lines)
 
     contest, budget = _build_contest(raw, lines)
 
-    output = raw.get("output") or {}
-    fmt = str(output.get("format", "json"))
+    output = raw.get("output", {})
+    fmt = output.get("format", "json")
     if fmt not in ("json", "csv"):
-        raise ConfigSchemaError(
-            f"{_where('format', _line(lines, 'output', 'format'))} must be 'json' or 'csv'"
-        )
-    seed = output.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigSchemaError(f"{_where('seed', _line(lines, 'output', 'seed'))} must be int")
-    path = output.get("path")
-    tolerances = {
-        key: float(value) for key, value in output.items() if key in _DEFAULT_TOLERANCES
-    }
+        raise ConfigSchemaError(f"{_where(lines, 'output', 'format')} must be 'json' or 'csv'")
+    tolerances = {key: output[key] for key in _DEFAULT_TOLERANCES if key in output}
     for key, value in tolerances.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigValidationError(
-                f"{_where(key, _line(lines, 'output', key))} must be finite and positive"
+                f"{_where(lines, 'output', key)} must be finite and positive"
             )
 
     config = RunConfig(
@@ -519,8 +440,8 @@ def _build_config(raw: dict, lines: dict) -> RunConfig:
         command=command,
         options=options,
         fmt=fmt,
-        out_path=str(path) if path is not None else None,
-        seed=seed,
+        out_path=output.get("path"),
+        seed=output.get("seed", 0),
         tolerances=tolerances,
     )
     _validate_config(config)
@@ -551,13 +472,14 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path!r}: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        raw, lines = _raw_from_json(text)
-    else:
-        raw, lines = _raw_from_text(text)
+    is_json = text.lstrip().startswith("{")
+    sections, lines = (_read_json(text), {}) if is_json else _read_text(text)
+    raw = {
+        name: _typed_fields(body, _SCHEMA[name], name, lines, text=not is_json)
+        for name, body in sections.items()
+    }
     return _build_config(raw, lines)
 
 
@@ -660,20 +582,19 @@ def _cmd_effort(config: RunConfig):
 
 
 def _cmd_alpha(config: RunConfig):
-    cost_space = bool(config.options.get("cost_space", False))
-    alphas = alpha_coefficients(config.environment, cost_space=cost_space).coefficients
-    results = {"alpha": list(alphas), "cost_space": cost_space}
+    vector = alpha_coefficients(config.environment, **config.options)
+    alphas = vector.coefficients
+    results = {"alpha": list(alphas), "cost_space": vector.cost_space}
     rows = tuple((m, value) for m, value in enumerate(alphas, start=1))
     return results, ("m", "alpha"), rows, f"alpha_N={alphas[-1]:.9g}"
 
 
 def _cmd_compare(config: RunConfig):
-    query = CompetitionQuery(m=config.options["m"], m_prime=config.options["m_prime"])
+    options = dict(config.options)
+    query = CompetitionQuery(m=options.pop("m"), m_prime=options.pop("m_prime"))
     report = classify(config.environment, query)
-    if config.options.get("numeric") and config.contest is not None:
-        report = attach_numeric_estimate(
-            report, config.environment, config.contest, step=config.options.get("step")
-        )
+    if options.pop("numeric", False):
+        report = attach_numeric_estimate(report, config.environment, config.contest, **options)
     results = {
         "m": query.m,
         "m_prime": query.m_prime,
@@ -691,8 +612,9 @@ def _cmd_compare(config: RunConfig):
 
 
 def _cmd_optimize(config: RunConfig):
-    mode = str(config.options.get("mode", "vertex"))
-    solution = optimize_budget(config.environment, config.budget, mode=mode, seed=config.seed)
+    solution = optimize_budget(
+        config.environment, config.budget, seed=config.seed, **config.options
+    )
     results = {
         "prizes": list(solution.contest.prizes),
         "value": solution.value,
@@ -707,13 +629,10 @@ def _cmd_optimize(config: RunConfig):
 
 def _cmd_verify(config: RunConfig):
     eqm = solve(config.environment, config.contest)
+    # verification_report has no default sample count
+    options = {"n_samples": 100_000, **config.options}
     audit = verification_report(
-        config.environment,
-        config.contest,
-        eqm,
-        n_samples=int(config.options.get("n_samples", 100_000)),
-        seed=config.seed,
-        grid_size=int(config.options.get("grid_size", 1024)),
+        config.environment, config.contest, eqm, seed=config.seed, **options
     )
     results = {
         "gaps": [
@@ -742,13 +661,7 @@ def _cmd_verify(config: RunConfig):
 
 
 def _cmd_converge(config: RunConfig):
-    n_list = [int(n) for n in config.options["n_list"]]
-    report = convergence_report(
-        config.environment,
-        config.contest,
-        n_list,
-        grid_points=int(config.options.get("grid_points", 513)),
-    )
+    report = convergence_report(config.environment, config.contest, **config.options)
     results = {
         "entries": [[n, gap] for n, gap in report.entries],
         "max_effort": report.max_effort,
@@ -828,6 +741,9 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
     try:
         results, header, rows, scalar = _HANDLERS[config.command](config)
+    except ArgumentError as exc:
+        print(f"contestlab: invalid option: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ContestError as exc:
         print(f"contestlab: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -868,21 +784,15 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
+        flags = {"fmt": args.fmt, "out_path": args.out, "seed": args.seed}
+        config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+        return run(config)
     except ConfigError as exc:
         print(f"contestlab: {exc}", file=sys.stderr)
         return exc.exit_code
-
-    replacements: dict[str, Any] = {}
-    if args.fmt is not None:
-        replacements["fmt"] = args.fmt
-    if args.out is not None:
-        replacements["out_path"] = args.out
-    if args.seed is not None:
-        replacements["seed"] = args.seed
-    if replacements:
-        config = dataclasses.replace(config, **replacements)
-
-    return run(config)
+    except Exception as exc:  # the CLI ends on an exit code, never a traceback
+        print(f"contestlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -175,8 +175,10 @@ def optimize_budget(
     over these small numpy calls was slower than one thread. Ties within
     1e-9 of the best value per unit budget are reported, never silently
     broken: optimality claims are for tests to assert, not for the optimizer
-    to assume.
+    to assume. seed is None or a nonnegative integer.
     """
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ArgumentError(f"seed must be None or a nonnegative integer, got {seed!r}")
     if mode not in ("vertex", "vertex_plus_search"):
         raise ArgumentError(f"mode must be 'vertex' or 'vertex_plus_search', got {mode!r}")
     vertices = enumerate_vertices(env.n_others, budget)

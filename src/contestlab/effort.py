@@ -28,11 +28,13 @@ class AlphaVector:
 
     coefficients[m-1] is the response of expected effort to prize m. With a
     single type all coefficients equal 1/((N+1) theta); with two or more types
-    the top coefficient strictly dominates every other one.
+    the top coefficient strictly dominates every other one. cost_space tells
+    whether they price effort or effort cost (see alpha_coefficients).
     """
 
     coefficients: tuple[float, ...]
     env: ContestEnvironment
+    cost_space: bool
 
     def dot(self, contest: Contest) -> float:
         return float(
@@ -190,7 +192,9 @@ def alpha_coefficients(env: ContestEnvironment, cost_space: bool = False) -> Alp
     pmf = _pmf_rows(n + 1, cuts)[1 : n + 1]
     weights = _upper_tails(n + 1, cuts)[1 : n + 1] + np.arange(n - 1, -1, -1)[:, None] * pmf
     coeffs = (inv_thetas[-1] - weights @ np.diff(inv_thetas)) / (n + 1)
-    return AlphaVector(coefficients=tuple(float(c) for c in coeffs), env=env)
+    return AlphaVector(
+        coefficients=tuple(float(c) for c in coeffs), env=env, cost_space=cost_space
+    )
 
 
 def expected_cost(env: ContestEnvironment, contest: Contest) -> float:

@@ -19,10 +19,6 @@ from .costs import ContestEnvironment, validate_environment
 from .errors import ArgumentError, CapabilityError, NumericError
 from .kernels import Contest, _check_opponents, _prize_curve, _prize_inverse
 
-# Absolute agreement (in prize-value units) required between the iterative
-# solver and any closed form that claims to reproduce it.
-EQM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Equilibrium:

@@ -25,9 +25,6 @@ import numpy as np
 from ._quad import _elementwise, _monotone_inverse
 from .errors import ArgumentError, DomainError
 
-# Absolute tolerance on t for the bisection inverse of the prize curve.
-ROOT_TOL = 1e-12
-
 # Largest pmf block (elements) that prize-curve evaluation holds at once;
 # 2^18 was faster than 2^20 and holds about a quarter of the memory.
 _BLOCK_ELEMENTS = 1 << 18

@@ -109,7 +109,10 @@ def monte_carlo_effort(
     Samples are generated in fixed-size chunks with per-chunk seeds derived
     from the master seed, so the merged estimate does not depend on how chunks
     are scheduled across workers; reruns with the same seed are bit-identical.
+    seed must be a nonnegative integer.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ArgumentError(f"seed must be a nonnegative integer, got {seed!r}")
     if n_samples < 10_000:
         raise ArgumentError(f"n_samples must be at least 10^4, got {n_samples!r}")
     if eqm.env != env or eqm.contest != contest:

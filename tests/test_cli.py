@@ -1,10 +1,17 @@
 """Config ingestion, dispatch, report emission, and exit-code contracts."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from contestlab import cli
 from contestlab.cli import (
+    EXIT_INTERNAL,
+    EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SCHEMA,
@@ -61,7 +68,6 @@ class TestLoadConfig:
             load_config(_write(tmp_path, text))
 
     def test_unknown_key_is_a_schema_error(self, tmp_path):
-        text = TWO_TYPE_SOLVE + "\n[output]\n"  # duplicate section -> parse error
         text = TWO_TYPE_SOLVE.replace("seed = 7", "seed = 7\nfrobnicate = 1")
         with pytest.raises(ConfigSchemaError, match="frobnicate"):
             load_config(_write(tmp_path, text))
@@ -420,3 +426,281 @@ format = json
         path = _write(tmp_path, TWO_TYPE_SOLVE)
         target = str(tmp_path / "missing-dir" / "report.json")
         assert main([path, "--out", target]) == 6
+
+
+
+# ---------------------------------------------------------------------------
+# one schema for both front ends
+# ---------------------------------------------------------------------------
+
+ENV = {"n_others": 2, "types": ["linear", "linear"], "thetas": [2.0, 1.0], "probs": [0.5, 0.5]}
+BASE = {
+    "environment": ENV,
+    "contest": {"prizes": [0.0, 0.0, 1.0]},
+    "command": {"name": "solve"},
+    "output": {"format": "json", "seed": 7},
+}
+CONTINUUM = {"n_others": 1, "family": "uniform", "support": [1.0, 2.0]}
+
+
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list) and value and all(isinstance(v, list) for v in value):
+        return "; ".join(":".join(_text_value(x) for x in pair) for pair in value)
+    if isinstance(value, list):
+        return ", ".join(_text_value(v) for v in value)
+    return "" if value is None else str(value)
+
+
+def _render(config: dict, front_end: str) -> str:
+    """config in the format of the text or the JSON front end."""
+    if front_end == "json":
+        return json.dumps(config)
+    lines = []
+    for section, body in config.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_text_value(value)}" for key, value in body.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _with(base: dict, section: str, **fields) -> dict:
+    config = json.loads(json.dumps(base))
+    config.setdefault(section, {}).update(fields)
+    return config
+
+
+def _main(tmp_path, config, front_end, *flags):
+    name = "run.json" if front_end == "json" else "run.cfg"
+    return main([_write(tmp_path, _render(config, front_end), name), *flags])
+
+
+@pytest.mark.parametrize("front_end", ["text", "json"])
+class TestSchemaTable:
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("environment", "frobnicate"),
+            ("contest", "budjet"),
+            ("command", "frobnicate"),
+            ("output", "colour"),
+            ("environment", "budget"),  # belongs in [contest]
+            ("contest", "seed"),  # belongs in [output]
+            ("command", "n_samples"),  # an option of verify, not of solve
+            ("environment", "shape"),  # a continuum field in a finite environment
+            ("environment", "table_3"),  # there are two types
+        ],
+    )
+    def test_unknown_or_misplaced_field_exits_3(self, tmp_path, capsys, front_end, section, key):
+        config = _with(BASE, section, **{key: 3})
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
+    def test_finite_field_in_a_continuum_environment_exits_3(self, tmp_path, capsys, front_end):
+        config = {
+            "environment": dict(CONTINUUM, thetas=[2.0]),
+            "contest": {"prizes": [0.0, 1.0]},
+            "command": {"name": "converge", "n_list": [2, 4]},
+        }
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_SCHEMA
+        assert "thetas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 1e-3])
+    def test_tol_root_and_tol_eqm_change_neither_report_nor_digest(
+        self, tmp_path, capsys, front_end, value
+    ):
+        assert _main(tmp_path, BASE, front_end, "--out", "-") == EXIT_OK
+        plain = capsys.readouterr().out
+        config = _with(BASE, "output", tol_root=value, tol_eqm=value)
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert set(json.loads(plain)["meta"]["tolerances"]) == {"tol_quad"}
+
+    @pytest.mark.parametrize(
+        "command, contest",
+        [
+            ({"name": "optimize", "mode": "banana"}, {"budget": 1.0}),
+            ({"name": "verify", "n_samples": -5}, None),
+            ({"name": "verify", "grid_size": 10}, None),
+            ({"name": "compare", "m": 2, "m_prime": 1, "numeric": True, "step": 0.0}, None),
+            ({"name": "compare", "m": 0, "m_prime": 1}, None),
+        ],
+        ids=["mode", "n_samples", "grid_size", "step", "m"],
+    )
+    def test_option_the_library_rejects_exits_4(
+        self, tmp_path, capsys, front_end, command, contest
+    ):
+        config = _with(BASE, "command", **command)
+        if contest is not None:
+            config["contest"] = contest
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("contestlab: invalid option:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("options", [{"grid_points": 0}, {"n_list": [16, 4]}])
+    def test_converge_option_the_library_rejects_exits_4(
+        self, tmp_path, capsys, front_end, options
+    ):
+        config = {
+            "environment": CONTINUUM,
+            "contest": {"prizes": [0.0, 1.0]},
+            "command": {"name": "converge", "n_list": [2, 4], **options},
+        }
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("contestlab: invalid option:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, contest",
+        [
+            ({"name": "verify"}, {"prizes": [0.0, 0.0, 1.0]}),
+            ({"name": "optimize", "mode": "vertex_plus_search"}, {"budget": 1.0}),
+        ],
+        ids=["verify", "optimize"],
+    )
+    def test_negative_seed_exits_4_from_config_and_flag(
+        self, tmp_path, capsys, front_end, command, contest
+    ):
+        config = dict(_with(BASE, "command", **command), contest=contest)
+        assert _main(tmp_path, _with(config, "output", seed=-1), front_end) == EXIT_VALIDATION
+        assert _main(tmp_path, config, front_end, "--seed", "-1") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.count("seed must be") == 2
+        assert captured.out == ""
+
+
+class TestJsonTypes:
+    def test_unknown_type_record_field_exits_3(self, tmp_path, capsys):
+        records = [
+            {"kind": "linear", "theta": 2.0, "prob": 0.5, "colour": "red"},
+            {"kind": "linear", "theta": 1.0, "prob": 0.5},
+        ]
+        config = dict(BASE, environment={"n_others": 2, "types": records})
+        assert _main(tmp_path, config, "json", "--out", "-") == EXIT_SCHEMA
+        assert "colour" in capsys.readouterr().err
+
+    def test_spread_list_beside_type_records_exits_3(self, tmp_path, capsys):
+        records = [{"kind": "linear", "theta": 2.0, "prob": 0.5}, {"kind": "linear", "prob": 0.5}]
+        config = dict(BASE, environment={"n_others": 2, "types": records, "probs": [0.5, 0.5]})
+        assert _main(tmp_path, config, "json", "--out", "-") == EXIT_SCHEMA
+        assert "probs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, fields",
+        [
+            ("command", {"name": "optimize", "mode": 3}),
+            ("output", {"path": 5}),
+            ("command", {"name": 7}),
+        ],
+        ids=["mode", "path", "name"],
+    )
+    def test_number_in_a_string_field_exits_3(self, tmp_path, capsys, monkeypatch, section, fields):
+        monkeypatch.chdir(tmp_path)
+        config = _with(dict(BASE, contest={"budget": 1.0}), section, **fields)
+        assert _main(tmp_path, config, "json") == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert "must be str" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "5").exists()
+
+    def test_integer_given_for_a_float_option_reads_as_in_text(self, tmp_path):
+        config = _with(BASE, "command", name="compare", m=2, m_prime=1, numeric=True, step=1)
+        from_json = load_config(_write(tmp_path, _render(config, "json"), "step.json"))
+        from_text = load_config(_write(tmp_path, _render(config, "text"), "step.cfg"))
+        assert from_json == from_text
+        assert type(from_json.options["step"]) is float
+
+
+def test_internal_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", broken)
+    assert main([_write(tmp_path, TWO_TYPE_SOLVE), "--out", "-"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "contestlab: internal error: RuntimeError: boom\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one-field mutations of small valid configs end on a documented code
+# ---------------------------------------------------------------------------
+
+_RECORDS = [
+    {"kind": "power", "theta": 2.0, "exponent": 2.0, "prob": 0.5},
+    {"kind": "power", "theta": 1.0, "exponent": 2.0, "prob": 0.5},
+]
+_FINITE_RUNS = (
+    ({"name": "solve"}, {"prizes": [0.0, 0.0, 1.0]}),
+    ({"name": "effort"}, {"prizes": [0.0, 0.0, 1.0]}),
+    ({"name": "alpha", "cost_space": True}, {}),
+    (
+        {"name": "compare", "m": 2, "m_prime": 1, "numeric": True, "step": 0.01},
+        {"prizes": [0.0, 0.4, 1.0]},
+    ),
+    ({"name": "optimize", "mode": "vertex"}, {"budget": 1.0}),
+    ({"name": "verify", "n_samples": 10_000, "grid_size": 100}, {"prizes": [0.0, 0.0, 1.0]}),
+)
+_CONTINUUM_ENVS = (
+    {"n_others": 1, "family": "power", "support": [1.0, 2.0], "shape": 2.0},
+    {"n_others": 1, "family": "tabulated", "table": [[1.0, 0.0], [1.5, 0.4], [2.0, 1.0]]},
+)
+
+
+def _fuzz_bases():
+    """(front end, config) for every command, in the spread and the record layout."""
+    output = {"format": "csv", "seed": 3, "tol_quad": 1e-9}
+    bases = []
+    for command, contest in _FINITE_RUNS:
+        spread = {"environment": ENV, "contest": contest, "command": command, "output": output}
+        records = dict(spread, environment={"n_others": 2, "types": _RECORDS})
+        bases += [("text", spread), ("json", spread), ("json", records)]
+    converge = {"name": "converge", "n_list": [2, 4], "grid_points": 9}
+    for env in _CONTINUUM_ENVS:
+        config = {"environment": env, "contest": {"prizes": [0.0, 1.0]}, "command": converge}
+        bases += [("text", config), ("json", config)]
+    return bases
+
+
+_FUZZ_BASES = _fuzz_bases()
+_FUZZ_VALUES = ("x", 1.5, -1, 0, [], {}, None, True, [1, "a"], [[1]])
+_SECTION_NAMES = ("environment", "contest", "command", "output")
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A base config with one field dropped, added, moved to another section or replaced."""
+    front_end, base = draw(st.sampled_from(_FUZZ_BASES))
+    config = json.loads(json.dumps(base))
+    records = [r for r in config["environment"].get("types", []) if isinstance(r, dict)]
+    body = draw(st.sampled_from([body for body in [*config.values(), *records] if body]))
+    key = draw(st.sampled_from(sorted(body)))
+    op = draw(st.sampled_from(("drop", "add", "move", "replace")))
+    if op == "drop":
+        del body[key]
+    elif op == "add":
+        body["zzz"] = draw(st.sampled_from(_FUZZ_VALUES))
+    elif op == "move":
+        config.setdefault(draw(st.sampled_from(_SECTION_NAMES)), {})[key] = body.pop(key)
+    else:
+        body[key] = draw(st.sampled_from(_FUZZ_VALUES))
+    return front_end, config
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_mutated_configs())
+def test_mutated_configs_end_on_a_documented_exit_code(tmp_path_factory, case):
+    front_end, config = case
+    path = tmp_path_factory.getbasetemp() / ("fuzz.json" if front_end == "json" else "fuzz.cfg")
+    path.write_text(_render(config, front_end))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path)])
+    documented = (EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, EXIT_VALIDATION, EXIT_NUMERIC, EXIT_IO)
+    assert code in documented, err.getvalue()
+    if code != EXIT_OK:
+        assert out.getvalue() == ""

@@ -18,7 +18,7 @@ from contestlab import (
     solve,
     validate_environment,
 )
-from contestlab._quad import adaptive
+from contestlab._quad import _PANEL_BLOCK, adaptive, gauss_panels
 
 
 @pytest.fixture
@@ -317,3 +317,19 @@ class TestTableAgainstPerTypeQuadrature:
             finite = exante_cdf(solve(discretize(cenv, n), contest), xs)
             assert gap == pytest.approx(float(np.max(np.abs(finite - reference))), abs=1e-10)
         assert report.max_effort == pytest.approx(upper, abs=1e-10)
+
+
+def test_gauss_panels_value_does_not_depend_on_batch_mates():
+    # the strategy table and its bisection rely on each panel being summed
+    # the same way whichever panels share the call
+    rng = np.random.default_rng(8)
+    a = np.sort(rng.uniform(0.0, 5.0, 3 * _PANEL_BLOCK))
+    b = a + rng.uniform(1e-3, 1.0, a.size)
+
+    def f(x):
+        return np.exp(np.sin(3.0 * x)) * np.sqrt(x + 1.0)
+
+    alone = np.array([gauss_panels(f, a[i : i + 1], b[i : i + 1])[0] for i in range(a.size)])
+    for start, stop in ((0, a.size), (7, a.size), (1, 50), (_PANEL_BLOCK - 3, 2 * _PANEL_BLOCK + 5)):
+        batch = gauss_panels(f, a[start:stop], b[start:stop])
+        assert batch.tobytes() == alone[start:stop].tobytes()

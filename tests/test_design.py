@@ -170,6 +170,13 @@ class TestSearchMode:
         assert serial.contest == threaded.contest
         assert serial.value == threaded.value
 
+    @pytest.mark.parametrize("mode", ["vertex", "vertex_plus_search"])
+    def test_seed_is_none_or_a_nonnegative_integer(self, two_type_env, mode):
+        for seed in (-1, 1.5, "7"):
+            with pytest.raises(ArgumentError, match="seed"):
+                optimize_budget(two_type_env, 1.0, mode=mode, seed=seed)
+        assert optimize_budget(two_type_env, 1.0, mode=mode, seed=None).seed is None
+
     def test_rejects_unknown_mode(self, two_type_env):
         with pytest.raises(ArgumentError):
             optimize_budget(two_type_env, 1.0, mode="grid")

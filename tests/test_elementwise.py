@@ -2,7 +2,7 @@
 
 A scalar argument gives a Python float; a list or an array of any shape,
 empty included, gives an ndarray of that shape whose entries equal the
-scalar calls bit for bit (MAX_ULP names the one exception); NaN,
+scalar calls bit for bit; NaN,
 infinities and points outside the function's interval raise ArgumentError
 (DomainError for the inverse prize curve).
 """
@@ -90,12 +90,6 @@ CASES = {
 }
 
 
-# continuum_strategy sums its Gauss panels in one BLAS matrix-vector
-# product, whose summation order for a row depends on the row's position in
-# the batch, so a batched value may differ from the scalar one in the last bit.
-MAX_ULP = {"continuum_strategy": 1}
-
-
 def _inputs(valid):
     flat = np.array(valid)
     return {
@@ -126,10 +120,7 @@ class TestElementwiseConvention:
         assert out.shape == shape
         expected = np.array([fn(float(v)) for v in np.ravel(x)], dtype=float).reshape(shape)
         assert out.dtype == np.float64
-        if name in MAX_ULP:
-            np.testing.assert_array_max_ulp(out, expected, MAX_ULP[name])
-        else:
-            assert out.tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
 
     def test_nan_and_out_of_interval_raise(self, name):
         fn, valid, invalid, error = CASES[name]

@@ -112,6 +112,16 @@ class TestMonteCarloEffort:
         with pytest.raises(ArgumentError):
             monte_carlo_effort(two_type_env, top_prize_contest, eqm, 100, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "7"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(
+        self, two_type_env, top_prize_contest, seed
+    ):
+        eqm = solve(two_type_env, top_prize_contest)
+        with pytest.raises(ArgumentError, match="seed"):
+            monte_carlo_effort(two_type_env, top_prize_contest, eqm, 10_000, seed=seed)
+        with pytest.raises(ArgumentError, match="seed"):
+            verification_report(two_type_env, top_prize_contest, eqm, 10_000, seed=seed)
+
     def test_rejects_mismatched_equilibrium(self, two_type_env, top_prize_contest):
         eqm = solve(two_type_env, top_prize_contest)
         with pytest.raises(ArgumentError):
