@@ -340,8 +340,9 @@ def _build_finite_environment(raw: dict, lines: dict) -> ContestEnvironment:
             raise ConfigSchemaError(f"type {idx} must carry at least 'kind' and 'prob'")
         if record["kind"] not in (LINEAR, POWER, TABULATED):
             raise ConfigSchemaError(f"type {idx} has unknown kind {record['kind']!r}")
-        if record["kind"] == TABULATED and "table" not in record:
-            raise ConfigSchemaError(f"type {idx} is tabulated but has no table")
+        if (record["kind"] == TABULATED) != ("table" in record):
+            wrong = "has no table" if record["kind"] == TABULATED else "takes no table"
+            raise ConfigSchemaError(f"type {idx} is {record['kind']} but {wrong}")
         fields = {("points" if key == "table" else key): value for key, value in record.items()}
         del fields["prob"]
         try:
@@ -358,6 +359,9 @@ def _build_finite_environment(raw: dict, lines: dict) -> ContestEnvironment:
 def _build_continuum_environment(raw: dict, lines: dict) -> ContinuumEnvironment:
     body = raw["environment"]
     n_others = _require(raw, "environment", "n_others")
+    for key, family in (("shape", POWER), ("table", TABULATED)):
+        if key in body and body.get("family") != family:
+            raise ConfigSchemaError(f"{_where(lines, 'environment', key)} needs family = {family}")
     where = _where(lines, "environment", "support")
     try:
         if body.get("family") == TABULATED:
@@ -622,6 +626,7 @@ def _cmd_optimize(config: RunConfig):
         "mode": solution.mode,
         "tied_contests": [list(c.prizes) for c in solution.ties],
         "evaluations": solution.evaluations,
+        "gap": solution.gap,
     }
     rows = tuple((m, v) for m, v in enumerate(solution.contest.prizes))
     return results, ("m", "prize"), rows, f"value={solution.value:.9g} ({solution.label})"

@@ -306,48 +306,40 @@ def validate_environment(env: ContestEnvironment, contest=None, x_max: float | N
 
     kinds = {cf.kind for cf in env.types}
     exponents = {cf.effective_exponent for cf in env.types}
-    analytic = TABULATED not in kinds and len(exponents) == 1
+    analytic = env.n_types == 1 or (TABULATED not in kinds and len(exponents) == 1)
 
     grid = None
-    if env.n_types > 1:
-        if analytic:
-            method = "analytic"
-            thetas = [cf.theta for cf in env.types]
-            for i, (a, b) in enumerate(zip(thetas, thetas[1:]), start=1):
-                if a <= b:
-                    failures.append(
-                        f"ordering violated: theta[{i}]={a!r} must exceed theta[{i + 1}]={b!r}"
-                    )
-                    break
-        else:
-            method = "grid"
-            if x_max is None:
-                if contest is not None:
-                    x_max = float(env.types[0].inverse(contest.top_prize))
-                else:
-                    x_max = _DEFAULT_X_MAX
-            if x_max <= 0.0:
-                x_max = _DEFAULT_X_MAX
-            xs = np.geomspace(x_max * 1e-6, x_max, _ORDERING_GRID_POINTS)
-            grid = (float(xs[0]), float(xs[-1]), _ORDERING_GRID_POINTS)
-            h = 1e-6 * xs
-            slopes = np.array(
-                [(cf._evaluate(xs + h) - cf._evaluate(xs - h)) / (2.0 * h) for cf in env.types]
-            )
-            for i in range(env.n_types - 1):
-                bad = np.nonzero(slopes[i] <= slopes[i + 1])[0]
-                if bad.size:
-                    x_bad = float(xs[bad[0]])
-                    failures.append(
-                        f"ordering violated between types {i + 1} and {i + 2} at effort {x_bad!r}"
-                    )
-                    break
+    if analytic:
+        thetas = [cf.theta for cf in env.types]
+        for i, (a, b) in enumerate(zip(thetas, thetas[1:]), start=1):
+            if a <= b:
+                failures.append(
+                    f"ordering violated: theta[{i}]={a!r} must exceed theta[{i + 1}]={b!r}"
+                )
+                break
     else:
-        method = "analytic"
+        if x_max is None and contest is not None:
+            x_max = float(env.types[0].inverse(contest.top_prize))
+        if x_max is None or x_max <= 0.0:
+            x_max = _DEFAULT_X_MAX
+        xs = np.geomspace(x_max * 1e-6, x_max, _ORDERING_GRID_POINTS)
+        grid = (float(xs[0]), float(xs[-1]), _ORDERING_GRID_POINTS)
+        h = 1e-6 * xs
+        slopes = np.array(
+            [(cf._evaluate(xs + h) - cf._evaluate(xs - h)) / (2.0 * h) for cf in env.types]
+        )
+        for i in range(env.n_types - 1):
+            bad = np.nonzero(slopes[i] <= slopes[i + 1])[0]
+            if bad.size:
+                x_bad = float(xs[bad[0]])
+                failures.append(
+                    f"ordering violated between types {i + 1} and {i + 2} at effort {x_bad!r}"
+                )
+                break
 
     return ValidationReport(
         passed=not failures,
         failures=tuple(failures),
-        ordering_method=method,
+        ordering_method="analytic" if analytic else "grid",
         grid=grid,
     )

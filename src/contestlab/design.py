@@ -2,12 +2,15 @@
 
 The feasible set is all nondecreasing ladders with v_0 = 0 and total at most
 V. Its extreme points are the zero ladder and, for each j, the ladder paying
-V/(N-j+1) to each of the top N-j+1 ranks; when the objective is linear in the
-prizes (linear costs) a vertex attains the maximum, so vertex evaluation is
-exact there. For curved bases a projected coordinate-ascent search explores
-the full-budget face on top of the vertices. The search ranks candidates on
-fixed quadrature nodes (effort._EffortOperator, built once per call); every
-value it reports comes from expected_effort.
+V/(N-j+1) to each of the top N-j+1 ranks. Mode "vertex" scores them all;
+"vertex_plus_search" then runs away-step Frank-Wolfe (Jaggi, ICML 2013;
+Lacoste-Julien & Jaggi, NeurIPS 2015) over the full-budget face from the best
+vertex, on exact directional derivatives of the fixed-node effort operator.
+In a parametric type space the cost level is affine in the prizes, so effort
+is convex in them under a linear or concave base (the best vertex is optimal:
+gap <= 0, zero iterations) and concave under a convex base, where the duality
+gap certifies the optimum. Otherwise (mixed kinds or exponents, tabulated
+costs) it certifies a stationary point only. Values come from expected_effort.
 """
 
 from __future__ import annotations
@@ -16,16 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _monotone_inverse
 from .costs import ContestEnvironment
 from .effort import _EffortOperator, expected_effort
 from .equilibrium import solve
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericError
 from .kernels import Contest
 
 TIE_RTOL = 1e-9
+GAP_RTOL = 1e-9
 
-_SEARCH_RESTARTS = 8
-_SEARCH_EVAL_CAP = 10_000
+# Frank-Wolfe iterations before NumericError, and bisection steps per line
+# search (the next gap test judges the point a line search reaches)
+_FW_ITERATIONS = 1000
+_LINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -37,27 +44,20 @@ class FeasibleSet:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_opponents, (int, np.integer)) or self.n_opponents < 1:
-            raise ArgumentError(
-                f"n_opponents must be a positive integer, got {self.n_opponents!r}"
-            )
+            raise ArgumentError(f"n_opponents must be a positive integer, got {self.n_opponents!r}")
         if not self.budget > 0.0:
             raise ArgumentError(f"budget must be positive, got {self.budget!r}")
 
     def contains(self, contest: Contest) -> bool:
-        return (
-            contest.n_opponents == self.n_opponents
-            and contest.total_budget <= self.budget * (1.0 + 1e-12)
-        )
+        fits = contest.total_budget <= self.budget * (1.0 + 1e-12)
+        return contest.n_opponents == self.n_opponents and fits
 
     def vertices(self) -> list[Contest]:
         """Extreme points of the set; see enumerate_vertices."""
-        n = self.n_opponents
-        out = [Contest((0.0,) * (n + 1))]
-        for j in range(1, n + 1):
-            paid = n - j + 1
-            prizes = [0.0] * (n + 1 - paid) + [self.budget / paid] * paid
-            out.append(Contest(tuple(prizes)))
-        return out
+        n, budget = self.n_opponents, self.budget
+        return [Contest((0.0,) * (n + 1))] + [
+            Contest((0.0,) * j + (budget / (n - j + 1),) * (n - j + 1)) for j in range(1, n + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ class BudgetSolution:
     mode: str
     evaluations: int
     seed: int | None
+    gap: float | None
 
 
 def enumerate_vertices(n_opponents: int, budget: float) -> list[Contest]:
@@ -85,73 +86,67 @@ def enumerate_vertices(n_opponents: int, budget: float) -> list[Contest]:
 
 
 def _label(contest: Contest, budget: float) -> str:
-    n = contest.n_opponents
-    tol = 1e-12 * max(budget, 1.0)
-    if all(abs(v) <= tol for v in contest.prizes):
-        return "zero"
-    wta = [0.0] * n + [budget]
-    if all(abs(a - b) <= tol for a, b in zip(contest.prizes, wta)):
-        return "winner_takes_all"
-    equal = [0.0] + [budget / n] * n
-    if all(abs(a - b) <= tol for a, b in zip(contest.prizes, equal)):
-        return "equal_split"
+    n, tol = contest.n_opponents, 1e-12 * max(budget, 1.0)
+    named = {"winner_takes_all": [0.0] * n + [budget], "equal_split": [0.0] + [budget / n] * n}
+    for name, prizes in named.items():
+        if np.allclose(contest.prizes, prizes, rtol=0.0, atol=tol):
+            return name
     return "mixed"
 
 
 def _objective(env: ContestEnvironment, contest: Contest) -> float:
-    if contest.degenerate:
-        return 0.0
-    return expected_effort(env, contest, solve(env, contest))
+    return 0.0 if contest.degenerate else expected_effort(env, contest, solve(env, contest))
 
 
-def _prizes_from_increments(d: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(np.maximum(d, 0.0))))
+def _line_search(operator, point, direction: np.ndarray, reach: float) -> float:
+    """Step in [0, reach] where the derivative along direction at point(step) is 0, or reach."""
+
+    def falling(step: np.ndarray) -> np.ndarray:
+        return -operator.slopes(point(step[0]), direction[None])
+
+    if falling(np.array([reach]))[0] <= 0.0:
+        return reach
+    step = _monotone_inverse(falling, np.zeros(1), 0.0, reach, steps=_LINE_STEPS, tol=1e-15)
+    return float(step[0])
 
 
-def _restart_search(env: ContestEnvironment, budget: float, seed_seq, eval_budget: int, score):
-    """One coordinate-ascent pass over prize increments on the full-budget face.
+def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
+    """Away-step Frank-Wolfe over the full-budget face, from its best vertex in scored.
 
-    Contests are parameterized by nonnegative increments d_m = v_m - v_{m-1},
-    which makes monotonicity automatic; the budget constraint becomes a single
-    weighted simplex sum_m (N-m+1) d_m = V, preserved by weighted pairwise
-    transfers with shrinking step sizes. Candidates are ranked by score, the
-    fixed-node effort operator; the final ladder is scored once more by
-    _objective, so the value returned is expected_effort's.
+    Works in weights w over the N full-budget vertices, whose solves validated
+    env. Returns the ladder as a contest, its gap and the derivative count.
     """
-    n = env.n_others
-    weights = np.array([n - j + 1 for j in range(1, n + 1)], dtype=float)
-    rng = np.random.default_rng(seed_seq)
-    used = 0
+    operator = _EffortOperator(env)
+    corners = np.array([contest.prizes for contest, _ in scored[1:]])
+    n = len(corners)
+    share = budget / np.arange(n, 0, -1.0)
 
-    def value(increments: np.ndarray) -> float:
-        return float(score(_prizes_from_increments(increments)[None, :])[0])
+    def ladder(w: np.ndarray) -> np.ndarray:  # running sums of w_j V/(N-j+1): monotone, >= 0
+        return np.concatenate(([0.0], np.cumsum(np.maximum(w, 0.0) * share)))
 
-    raw = rng.exponential(size=n)
-    d = budget * (raw / raw.sum()) / weights
-    val = value(d)
-    used += 1
-    step = 0.25
-    while step > 1e-7 and used < eval_budget:
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or used >= eval_budget:
-                    continue
-                move = min(step * budget, d[i] * weights[i])
-                if move <= 0.0:
-                    continue
-                cand = d.copy()
-                cand[i] -= move / weights[i]
-                cand[j] += move / weights[j]
-                cand_val = value(cand)
-                used += 1
-                if cand_val > val:
-                    d, val = cand, cand_val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    contest = Contest(tuple(_prizes_from_increments(d).tolist()))
-    return contest, _objective(env, contest), used
+    weights = np.eye(n)[max(range(n), key=lambda j: scored[j + 1][1])]
+    tol = GAP_RTOL * budget
+    for iteration in range(_FW_ITERATIONS + 1):
+        x = ladder(weights)
+        slopes = operator.slopes(x, corners - x)
+        toward = int(np.argmax(slopes))
+        gap = float(slopes[toward])
+        if gap <= tol:
+            return Contest(tuple(x.tolist())), gap, operator.derivatives
+        if iteration == _FW_ITERATIONS:
+            raise NumericError(f"Frank-Wolfe stopped at its iteration cap with gap {gap:.3g}")
+        active = np.flatnonzero(weights > 0.0)
+        away = int(active[np.argmin(slopes[active])])
+        away_step = -slopes[away] > gap and weights[away] < 1.0
+        if away_step:
+            move, reach = weights - np.eye(n)[away], weights[away] / (1.0 - weights[away])
+        else:
+            move, reach = np.eye(n)[toward] - weights, 1.0
+        step = _line_search(operator, lambda s: ladder(weights + s * move), move @ corners, reach)
+        weights += step * move
+        if away_step and step == reach:
+            weights[away] = 0.0  # a drop step; a leftover of 1e-15 would stall the loop
+        weights = np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
 
 
 def optimize_budget(
@@ -163,50 +158,32 @@ def optimize_budget(
 ) -> BudgetSolution:
     """Allocate a prize budget to maximize expected equilibrium effort.
 
-    mode "vertex" evaluates the extreme points only, which is exact when the
-    objective is linear in the prizes; "vertex_plus_search" additionally runs
-    a seeded coordinate-ascent search (8 restarts splitting a 10^4 evaluation
-    cap) and returns the best candidate found. Each restart derives its own
-    seed and evaluation budget from its index. Search candidates are ranked
-    by the fixed-node effort operator, built once for env; the vertex table,
-    each restart's final ladder and hence the returned value are scored by
-    expected_effort, so mode "vertex" is unaffected by the operator. jobs is accepted for
-    compatibility and ignored: restarts run serially, since a thread pool
-    over these small numpy calls was slower than one thread. Ties within
-    1e-9 of the best value per unit budget are reported, never silently
-    broken: optimality claims are for tests to assert, not for the optimizer
-    to assume. seed is None or a nonnegative integer.
+    mode "vertex" scores the N+1 extreme points, exact when effort is convex in
+    the prizes. "vertex_plus_search" adds the ladder where away-step
+    Frank-Wolfe's duality gap falls to 1e-9 of the budget, and raises
+    NumericError if _FW_ITERATIONS iterations do not get there. gap is that
+    duality gap (None in mode "vertex"): an optimality certificate under a
+    convex parametric base, a stationarity one elsewhere. evaluations counts
+    expected_effort calls and directional derivatives. seed (None or a
+    nonnegative integer) is validated and echoed but ignored, as is jobs.
+    Ties within 1e-9 of the best value per unit budget are reported.
     """
     if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ArgumentError(f"seed must be None or a nonnegative integer, got {seed!r}")
     if mode not in ("vertex", "vertex_plus_search"):
         raise ArgumentError(f"mode must be 'vertex' or 'vertex_plus_search', got {mode!r}")
     vertices = enumerate_vertices(env.n_others, budget)
-    evaluations = 0
-    scored: list[tuple[Contest, float]] = []
-    for contest in vertices:
-        evaluations += 1
-        scored.append((contest, _objective(env, contest)))
-
-    candidates = list(scored)
+    scored = [(contest, _objective(env, contest)) for contest in vertices]
+    candidates, evaluations, gap = list(scored), len(scored), None
     if mode == "vertex_plus_search":
-        # the vertex solves above validated env, the winner-takes-all one up
-        # to the largest effort any ladder within the budget can demand
-        score = _EffortOperator(env)
-        children = np.random.SeedSequence(seed).spawn(_SEARCH_RESTARTS)
-        per_restart = _SEARCH_EVAL_CAP // _SEARCH_RESTARTS
-        for child in children:
-            contest, val, used = _restart_search(env, budget, child, per_restart, score)
-            evaluations += used
-            candidates.append((contest, val))
-
+        contest, gap, used = _frank_wolfe(env, scored, budget)
+        evaluations += used
+        if contest not in vertices:
+            evaluations += 1
+            candidates.append((contest, _objective(env, contest)))
     best_contest, best_val = max(candidates, key=lambda item: item[1])
     tie_tol = TIE_RTOL * max(budget, 1.0)
-    ties = tuple(
-        contest
-        for contest, val in candidates
-        if contest != best_contest and abs(val - best_val) <= tie_tol
-    )
+    ties = tuple(c for c, val in candidates if c != best_contest and abs(val - best_val) <= tie_tol)
     return BudgetSolution(
         contest=best_contest,
         value=best_val,
@@ -216,4 +193,5 @@ def optimize_budget(
         mode=mode,
         evaluations=evaluations,
         seed=seed,
+        gap=gap,
     )

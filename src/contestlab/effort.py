@@ -120,8 +120,9 @@ class _EffortOperator:
 
     A tabulated type's inverse has second-derivative jumps where the cost
     level crosses a table knot, at win probabilities that move with the
-    ladder; fixed panels leave about 1e-10 there, so its segment is integrated
-    by the same adaptive rule as expected_effort, ladder by ladder.
+    ladder; fixed panels leave about 1e-10 there, so __call__ integrates its
+    segment by the same adaptive rule as expected_effort, ladder by ladder.
+    slopes differentiates every segment on the fixed nodes.
 
     Nothing is checked per ladder: callers validate the environment once and
     pass nondecreasing ladders with v_0 = 0 and a positive top prize.
@@ -130,12 +131,8 @@ class _EffortOperator:
     def __init__(self, env: ContestEnvironment) -> None:
         self.env = env
         cuts = env.cumulative
-        nodes, weights, self._segments = [np.empty(0)], [np.empty(0)], []
-        start = 0
-        for k, cf in enumerate(env.types, start=1):
-            if cf.kind == TABULATED:
-                self._segments.append(None)
-                continue
+        nodes, weights = [], []
+        for k in range(1, env.n_types + 1):
             edges = np.linspace(cuts[k - 1], cuts[k], _UNIFORM_PANELS + 1)
             if k == 1:
                 graded = edges[1] * _GRADE_RATIO ** np.arange(_GRADED_PANELS, 0, -1)
@@ -144,11 +141,12 @@ class _EffortOperator:
             half = 0.5 * (edges[1:] - edges[:-1])
             nodes.append((mid[:, None] + half[:, None] * _NODES).ravel())
             weights.append((half[:, None] * _WEIGHTS).ravel())
-            self._segments.append(slice(start, start + nodes[-1].size))
-            start += nodes[-1].size
+        ends = np.cumsum([0] + [w.size for w in weights])
+        self._segments = [slice(a, b) for a, b in zip(ends, ends[1:])]
         self._weights = np.concatenate(weights)
         self._node_pmf = _pmf_rows(env.n_others, np.concatenate(nodes))
         self._cut_pmf = _pmf_rows(env.n_others, np.asarray(cuts))
+        self.derivatives = 0  # directional derivatives taken by slopes
 
     def __call__(self, ladders: np.ndarray) -> np.ndarray:
         """Expected effort of each row of a (batch, N+1) array of prize ladders."""
@@ -159,7 +157,7 @@ class _EffortOperator:
         for k, (cf, seg) in enumerate(zip(self.env.types, self._segments), start=1):
             u_k = pis[:, k - 1] - cf._evaluate(boundary)
             boundary = cf._inverse(np.maximum(pis[:, k] - u_k, 0.0))
-            if seg is None:
+            if cf.kind == TABULATED:
                 total += [
                     _segment_integral(self.env, ladder, k, u, QUAD_TOL)
                     for ladder, u in zip(ladders, u_k)
@@ -167,6 +165,29 @@ class _EffortOperator:
                 continue
             levels = np.maximum(curve[:, seg] - u_k[:, None], 0.0)
             total += cf._inverse(levels.ravel()).reshape(levels.shape) @ self._weights[seg]
+        return total
+
+    def slopes(self, ladder: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """Derivative of the fixed-node effort at one ladder along each row of directions.
+
+        Exact for the node sum: through 1 / c'(c^-1(level)) at every node (a
+        node whose marginal cost is 0 or underflows adds nothing) and through
+        the utilities of solve's recursion. Directions keep v_0 = 0.
+        """
+        pis, curve = ladder @ self._cut_pmf, ladder @ self._node_pmf
+        d_pis, d_curve = directions @ self._cut_pmf, directions @ self._node_pmf
+        total = np.zeros(directions.shape[0])
+        self.derivatives += directions.shape[0]
+        u_k, d_u = pis[:1], d_pis[:, 0]
+        for k, (cf, seg) in enumerate(zip(self.env.types, self._segments), start=1):
+            if k > 1:
+                u_k = pis[k - 1 : k] - cf._evaluate(boundary)
+                d_u = d_pis[:, k - 1] - cf._slope(boundary) * d_boundary
+            boundary = cf._inverse(np.maximum(pis[k : k + 1] - u_k, 0.0))
+            d_boundary = (d_pis[:, k] - d_u) / cf._slope(boundary)
+            rates = cf._slope(cf._inverse(np.maximum(curve[seg] - u_k, 0.0)))
+            scaled = np.divide(self._weights[seg], rates, out=np.zeros_like(rates), where=rates > 0)
+            total += d_curve[:, seg] @ scaled - d_u * scaled.sum()
         return total
 
 

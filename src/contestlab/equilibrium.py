@@ -51,6 +51,9 @@ def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
 
     Starting from b_0 = 0, each step reads off u_k from the prize at the
     segment's lower end and then inverts type k's cost at the upper end.
+    Float range: under a power-e base b_1 = (pi(P_1)/theta_1)^(1/e), and
+    pi(P_1) is about P_1^N when only the top prizes are paid, so b_1 can
+    underflow to 0 (N = 200, e = 0.1): that raises NumericError.
     """
     _check_pair(env, contest)
     report = validate_environment(env, contest)

@@ -327,6 +327,40 @@ class TestRunCommands:
         report = json.loads(out.read_text())
         assert report["results"]["label"] == "winner_takes_all"
         assert report["results"]["prizes"] == [0.0, 0.0, 1.0]
+        assert report["results"]["gap"] is None
+
+    def test_search_reports_its_gap(self, tmp_path):
+        text = TWO_TYPE_SOLVE.replace("types = linear, linear", "types = power, power")
+        text = text.replace("thetas = 2, 1", "thetas = 2, 1\nexponents = 2, 2")
+        text = text.replace("name = solve", "name = optimize\nmode = vertex_plus_search")
+        text = text.replace("prizes = 0, 0, 1", "budget = 2.0")
+        out = tmp_path / "opt.json"
+        assert main([_write(tmp_path, text), "--out", str(out)]) == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert results["gap"] <= 1e-9 * 2.0
+        assert results["label"] == "mixed"
+        assert sum(results["prizes"]) == pytest.approx(2.0, rel=1e-12)
+
+    def test_underflowing_boundary_exits_5_with_one_line(self, tmp_path, capsys):
+        # b_1 = (pi(P_1) / theta_1)^10 underflows: pi(P_1) is about P_1^200
+        config = {
+            "environment": {
+                "n_others": 200,
+                "types": ["power"] * 3,
+                "thetas": [2.0, 1.5, 1.0],
+                "exponents": [0.1] * 3,
+                "probs": [1 / 3] * 3,
+            },
+            "contest": {"prizes": [0.0] * 199 + [0.5, 1.0]},
+            "command": {"name": "solve"},
+        }
+        path = _write(tmp_path, json.dumps(config), "underflow.json")
+        assert main([path, "--out", "-"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "contestlab: numeric failure: boundary points failed to increase at type 1\n"
+        )
 
     def test_effort_command(self, tmp_path):
         text = TWO_TYPE_SOLVE.replace("name = solve", "name = effort")
@@ -573,7 +607,51 @@ class TestSchemaTable:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("front_end", ["text", "json"])
+class TestFieldsTheKindReads:
+    @pytest.mark.parametrize("kind", ["linear", "power"])
+    def test_table_on_a_linear_or_power_type_exits_3(self, tmp_path, capsys, front_end, kind):
+        env = dict(ENV, types=[kind, kind], table_1=[[0.0, 0.0], [1.0, 5.0], [2.0, 9.0]])
+        if kind == "power":
+            env["exponents"] = [2.0, 2.0]
+        assert _main(tmp_path, dict(BASE, environment=env), front_end, "--out", "-") == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert f"type 1 is {kind} but takes no table" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"shape": 7.0},
+            {"table": [[1.0, 0.0], [2.0, 1.0]]},
+            {"shape": 7.0, "table": [[1.0, 0.0], [2.0, 1.0]]},
+            {"family": "power", "shape": 2.0, "table": [[1.0, 0.0], [2.0, 1.0]]},
+            {"family": "tabulated", "shape": 2.0, "table": [[1.0, 0.0], [2.0, 1.0]]},
+        ],
+        ids=["uniform-shape", "uniform-table", "uniform-both", "power-table", "tabulated-shape"],
+    )
+    def test_continuum_field_of_another_family_exits_3(self, tmp_path, capsys, front_end, fields):
+        config = {
+            "environment": dict(CONTINUUM, **fields),
+            "contest": {"prizes": [0.0, 1.0]},
+            "command": {"name": "converge", "n_list": [2, 4]},
+        }
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert "needs family = " in captured.err
+        assert captured.out == ""
+
+
 class TestJsonTypes:
+    def test_table_in_a_power_type_record_exits_3(self, tmp_path, capsys):
+        records = [
+            {"kind": "power", "theta": 2.0, "exponent": 2.0, "prob": 0.5, "table": [[0, 0], [1, 1]]},
+            {"kind": "power", "theta": 1.0, "exponent": 2.0, "prob": 0.5},
+        ]
+        config = dict(BASE, environment={"n_others": 2, "types": records})
+        assert _main(tmp_path, config, "json", "--out", "-") == EXIT_SCHEMA
+        assert "type 1 is power but takes no table" in capsys.readouterr().err
+
     def test_unknown_type_record_field_exits_3(self, tmp_path, capsys):
         records = [
             {"kind": "linear", "theta": 2.0, "prob": 0.5, "colour": "red"},
@@ -643,6 +721,7 @@ _FINITE_RUNS = (
         {"prizes": [0.0, 0.4, 1.0]},
     ),
     ({"name": "optimize", "mode": "vertex"}, {"budget": 1.0}),
+    ({"name": "optimize", "mode": "vertex_plus_search"}, {"budget": 1.0}),
     ({"name": "verify", "n_samples": 10_000, "grid_size": 100}, {"prizes": [0.0, 0.0, 1.0]}),
 )
 _CONTINUUM_ENVS = (

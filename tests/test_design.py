@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from contestlab import design
 from contestlab import (
     ArgumentError,
     Contest,
     ContestEnvironment,
     CostFunction,
     FeasibleSet,
+    NumericError,
     alpha_coefficients,
     enumerate_vertices,
     expected_effort,
@@ -180,3 +182,53 @@ class TestSearchMode:
     def test_rejects_unknown_mode(self, two_type_env):
         with pytest.raises(ArgumentError):
             optimize_budget(two_type_env, 1.0, mode="grid")
+
+
+class TestFrankWolfe:
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+    def test_convex_base_gap_certifies_the_optimum(self, exponent):
+        rng = np.random.default_rng(134)
+        env = random_parametric_env(rng, exponent, n_max=6, k_max=4, k_min=2)
+        assert (env.n_others, env.n_types) == (5, 4)
+        budget = 1.0
+        solution = optimize_budget(env, budget, mode="vertex_plus_search")
+        assert solution.gap <= 1e-9 * budget
+        assert solution.value >= max(val for _, val in solution.vertex_values)
+        for _ in range(200):
+            contest = random_monotone_contest(rng, env.n_others, budget)
+            assert solution.value >= _effort_value(env, contest) - 1e-12
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0])
+    def test_linear_or_concave_base_returns_the_best_vertex(self, exponent):
+        rng = np.random.default_rng(113)
+        for _ in range(4):
+            env = random_parametric_env(rng, exponent, n_max=6, k_max=4)
+            vertex = optimize_budget(env, 1.0, mode="vertex")
+            search = optimize_budget(env, 1.0, mode="vertex_plus_search")
+            assert search.contest == vertex.contest
+            assert search.label == vertex.label
+            assert search.value == vertex.value
+            assert search.gap <= 1e-9
+            # one batch of N directional derivatives, no step
+            assert search.evaluations == 2 * env.n_others + 1
+
+    def test_mixed_powers_reach_a_stationary_point(self):
+        env = ContestEnvironment(
+            3, (CostFunction.power(3.0, 2.0), CostFunction.power(1.0, 2.5)), (0.5, 0.5)
+        )
+        solution = optimize_budget(env, 1.0, mode="vertex_plus_search")
+        assert not env.parametric
+        assert solution.gap <= 1e-9
+        assert solution.value >= max(val for _, val in solution.vertex_values)
+        assert solution.label == "mixed"
+
+    def test_vertex_mode_reports_no_gap(self, two_type_env):
+        assert optimize_budget(two_type_env, 1.0, mode="vertex").gap is None
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        env = ContestEnvironment(
+            2, (CostFunction.power(2.0, 2.0), CostFunction.power(1.0, 2.0)), (0.5, 0.5)
+        )
+        monkeypatch.setattr(design, "_FW_ITERATIONS", 0)
+        with pytest.raises(NumericError, match="gap"):
+            optimize_budget(env, 1.0, mode="vertex_plus_search")

@@ -21,7 +21,7 @@ from contestlab import (
     utilities_closed_form,
 )
 from contestlab.effort import _EffortOperator
-from conftest import random_linear_env, random_monotone_contest, random_parametric_env
+from conftest import random_linear_env, random_monotone_contest, random_parametric_env, random_probs
 
 
 class TestExpectedEffort:
@@ -285,6 +285,29 @@ class TestEffortOperator:
             3, (CostFunction.linear(3.0), CostFunction.power(1.0, 2.0)), (0.4, 0.6)
         )
         assert _operator_error(curved, _ladders_with_zeros(rng, 3, 9)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "types",
+        [
+            [CostFunction.power(t, 0.5) for t in (3.0, 2.0, 1.0)],
+            [CostFunction.linear(2.0), CostFunction.linear(1.0)],
+            [CostFunction.power(t, 2.0) for t in (3.0, 2.0, 1.0)],
+            [CostFunction.power(3.0, 2.0), CostFunction.power(1.0, 2.5)],
+        ],
+        ids=["concave", "linear", "convex", "mixed"],
+    )
+    def test_slopes_match_central_differences(self, types):
+        rng = np.random.default_rng(239)
+        env = ContestEnvironment(4, tuple(types), tuple(random_probs(rng, len(types))))
+        operator = _EffortOperator(env)
+        ladder = np.array([0.0, 0.1, 0.15, 0.25, 0.5])
+        directions = np.array([[0.0, 1.0, 0.0, 0.0, -1.0], [0.0, -0.5, 0.5, 0.0, 0.0]])
+        directions = np.vstack((directions, np.diag(np.ones(5))[1:]))
+        h = 1e-5
+        steps = np.concatenate((ladder + h * directions, ladder - h * directions))
+        values = operator(steps)
+        central = (values[: len(directions)] - values[len(directions) :]) / (2 * h)
+        np.testing.assert_allclose(operator.slopes(ladder, directions), central, rtol=1e-7, atol=1e-9)
 
     def test_batch_matches_one_ladder_at_a_time(self):
         rng = np.random.default_rng(233)

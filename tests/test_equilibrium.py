@@ -9,6 +9,7 @@ from contestlab import (
     Contest,
     ContestEnvironment,
     CostFunction,
+    NumericError,
     boundaries_closed_form,
     exante_cdf,
     prize_expectation,
@@ -74,6 +75,16 @@ class TestSolve:
                 ].evaluate(xs)
                 residual = np.max(np.abs(payoff - eqm.utilities[k - 1]))
                 assert residual <= 1e-8 * contest.top_prize
+
+    def test_underflowing_first_boundary_is_a_numeric_error(self):
+        # outside solve's float range: b_1 = (pi(P_1) / theta_1)^(1/0.1) underflows
+        # to 0 because pi(P_1) is about P_1^200 = 3^-200
+        env = ContestEnvironment(
+            200, tuple(CostFunction.power(t, 0.1) for t in (2.0, 1.5, 1.0)), (1 / 3,) * 3
+        )
+        contest = Contest((0.0,) * 199 + (0.5, 1.0))
+        with pytest.raises(NumericError, match="boundary points failed to increase at type 1"):
+            solve(env, contest)
 
 
 class TestClosedForms:
@@ -259,3 +270,4 @@ class TestSample:
             float(np.max(grid - theory)), float(np.max(theory - (grid - 1.0 / n)))
         )
         assert statistic <= 1.358 / np.sqrt(n)
+
