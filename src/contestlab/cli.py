@@ -122,10 +122,7 @@ _COMMANDS = {
     "solve": ({}, ()),
     "effort": ({}, ()),
     "alpha": ({"cost_space": "bool"}, ()),
-    "compare": (
-        {"m": "int", "m_prime": "int", "numeric": "bool", "step": "float"},
-        ("m", "m_prime"),
-    ),
+    "compare": ({"m": "int", "m_prime": "int", "numeric": "bool"}, ("m", "m_prime")),
     "optimize": ({"mode": "str"}, ()),
     "verify": ({"n_samples": "int", "grid_size": "int"}, ()),
     "converge": ({"n_list": "int list", "grid_points": "int"}, ("n_list",)),
@@ -594,11 +591,11 @@ def _cmd_alpha(config: RunConfig):
 
 
 def _cmd_compare(config: RunConfig):
-    options = dict(config.options)
-    query = CompetitionQuery(m=options.pop("m"), m_prime=options.pop("m_prime"))
+    options = config.options
+    query = CompetitionQuery(m=options["m"], m_prime=options["m_prime"])
     report = classify(config.environment, query)
-    if options.pop("numeric", False):
-        report = attach_numeric_estimate(report, config.environment, config.contest, **options)
+    if options.get("numeric", False):
+        report = attach_numeric_estimate(report, config.environment, config.contest)
     results = {
         "m": query.m,
         "m_prime": query.m_prime,

@@ -3,11 +3,13 @@
 Increasing competition means moving prize value from a worse rank m' to a
 better rank m. Under linear costs the effect on expected effort is the
 coefficient difference alpha_m - alpha_{m'}; in general it also shifts the
-information rents of the more efficient types. The classifier implements the
-sufficient conditions under which the linear-cost sign extends to concave or
-convex bases: the transfer must not raise the top type's utility (or must
-target the best rank), which makes the pointwise cost-space weight profile
-single-crossing.
+information rents of the more efficient types. At a concrete contest, for any
+type space, competition_effect_numeric gives the effect as the exact
+directional derivative of the fixed-node effort operator that the budget
+search also uses. The classifier implements the sufficient conditions under
+which the linear-cost sign extends to concave or convex bases: the transfer
+must not raise the top type's utility (or must target the best rank), which
+makes the pointwise cost-space weight profile single-crossing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .costs import ContestEnvironment
 from .effort import _EffortOperator, alpha_coefficients
 from .equilibrium import solve
-from .errors import ArgumentError, CapabilityError, NumericError, StepError
+from .errors import ArgumentError, CapabilityError, NumericError
 from .kernels import Contest, _check_opponents, _pmf_rows
 
 _SIGN_TOL = 1e-12
@@ -57,7 +59,8 @@ class CompetitionReport:
     one or both conditional labels (both fire when the linear effect is
     exactly zero), or the single inconclusive marker when the hypothesis
     fails. numeric_estimate is optional and attached by callers that evaluated
-    a finite-difference effect at a concrete contest.
+    the effect on expected effort at a concrete contest (see
+    competition_effect_numeric).
     """
 
     query: CompetitionQuery
@@ -125,84 +128,33 @@ def competition_effect_linear(env: ContestEnvironment, query: CompetitionQuery) 
     return alphas[query.m - 1] - alphas[query.m_prime - 1]
 
 
-def _transfer_slack(contest: Contest, query: CompetitionQuery, direction: int) -> float:
-    """Largest h keeping contest + direction*h*(e_m - e_m') nondecreasing."""
-    v = contest.prizes
-    n = contest.n_opponents
-    m, mp = query.m, query.m_prime
-    if direction > 0:
-        # v_m rises toward its upper neighbor, v_m' falls toward its lower one
-        slack = v[mp] - v[mp - 1]
-        if m < n:
-            slack = min(slack, v[m + 1] - v[m])
-    elif m == mp + 1:
-        # adjacent ranks move toward each other, splitting the gap
-        slack = (v[m] - v[mp]) / 2.0
-    else:
-        slack = min(v[m] - v[m - 1], v[mp + 1] - v[mp])
-    return max(slack, 0.0)
-
-
-def _perturbed(contest: Contest, query: CompetitionQuery, hs) -> np.ndarray:
-    """One prize ladder per step h: contest + h * (e_m - e_m'), as array rows."""
-    hs = np.asarray(hs, dtype=float)
-    ladders = np.tile(np.asarray(contest.prizes), (hs.size, 1))
-    ladders[:, query.m] += hs
-    ladders[:, query.m_prime] -= hs
-    return ladders
-
-
 def competition_effect_numeric(
-    env: ContestEnvironment,
-    contest: Contest,
-    query: CompetitionQuery,
-    step: float | None = None,
+    env: ContestEnvironment, contest: Contest, query: CompetitionQuery
 ) -> float:
-    """Finite-difference effect of the transfer on expected effort.
+    """Effect of the transfer on expected effort: its derivative along e_m - e_{m'}.
 
-    Central differences with Richardson extrapolation over steps h and h/2.
-    Derivative-of-integrand formulas are avoided on purpose: for convex bases
-    the inverse base cost has unbounded slope at zero, while the effort value
-    itself stays perfectly finite. All perturbed ladders are evaluated in one
-    batch by the fixed-node effort operator, so every difference is taken on
-    the same quadrature nodes and carries no adaptive-refinement noise; the
-    environment is validated once, by solving at contest. Contests sitting on
-    the monotone boundary in one direction fall back to a one-sided
-    Richardson difference; if the requested step does not fit on either side,
-    a StepError suggests shrinking it.
+    One exact directional derivative of the fixed-node effort operator (see
+    _EffortOperator.slopes), after one solve at contest validates env and the
+    pair. A contest on the monotone boundary in one direction gets the same
+    derivative; one where the transfer breaks prize monotonicity in both
+    directions raises ArgumentError, since there the derivative can be
+    infinite.
     """
     _check_query(env, query)
     _check_opponents(env, contest)
-    h = 1e-4 * contest.top_prize if step is None else float(step)
-    if h <= 0.0:
-        raise ArgumentError(f"step must be positive, got {step!r}")
-
-    def values(hs) -> np.ndarray:
-        solve(env, contest)  # validates env and the pair once for the whole batch
-        return _EffortOperator(env)(_perturbed(contest, query, hs))
-
-    slack_plus = _transfer_slack(contest, query, +1)
-    slack_minus = _transfer_slack(contest, query, -1)
-    hh = 0.5 * h
-
-    if slack_plus >= h and slack_minus >= h:
-        e = values([h, -h, hh, -hh])
-        d_coarse = (e[0] - e[1]) / (2.0 * h)
-        d_fine = (e[2] - e[3]) / (2.0 * hh)
-        return (4.0 * d_fine - d_coarse) / 3.0
-
-    for direction, slack in ((+1, slack_plus), (-1, slack_minus)):
-        if slack >= h:
-            e = values([0.0, direction * h, direction * hh])
-            d_coarse = direction * (e[1] - e[0]) / h
-            d_fine = direction * (e[2] - e[0]) / hh
-            return 2.0 * d_fine - d_coarse
-
-    best = max(slack_plus, slack_minus)
-    raise StepError(
-        f"step {h!r} breaks prize monotonicity in both transfer directions; "
-        f"retry with a step no larger than {best!r}"
-    )
+    v, n, m, mp = contest.prizes, contest.n_opponents, query.m, query.m_prime
+    # may v_m rise while v_m' falls, or v_m fall while v_m' rises, and the ladder stay monotone?
+    raise_ok = v[mp] > v[mp - 1] and (m == n or v[m + 1] > v[m])
+    lower_ok = v[m] > v[m - 1] and v[mp + 1] > v[mp]
+    if not (raise_ok or lower_ok):
+        raise ArgumentError(
+            f"moving prize value from rank {mp} to rank {m} breaks prize "
+            "monotonicity in both directions at this contest"
+        )
+    solve(env, contest)
+    direction = np.zeros(n + 1)
+    direction[m], direction[mp] = 1.0, -1.0
+    return float(_EffortOperator(env).slopes(np.asarray(v), direction[None])[0])
 
 
 def binary_transfer_sign(env: ContestEnvironment, m: int) -> TransferSign:
@@ -323,11 +275,7 @@ def classify(env: ContestEnvironment, query: CompetitionQuery) -> CompetitionRep
 
 
 def attach_numeric_estimate(
-    report: CompetitionReport,
-    env: ContestEnvironment,
-    contest: Contest,
-    step: float | None = None,
+    report: CompetitionReport, env: ContestEnvironment, contest: Contest
 ) -> CompetitionReport:
-    """Return a copy of report carrying a finite-difference effect at contest."""
-    estimate = competition_effect_numeric(env, contest, report.query, step=step)
-    return replace(report, numeric_estimate=estimate)
+    """Return a copy of report carrying the numeric effect at contest."""
+    return replace(report, numeric_estimate=competition_effect_numeric(env, contest, report.query))

@@ -86,8 +86,12 @@ class CostFunction:
         return PchipInterpolator(xs, cs, extrapolate=False)
 
     @cached_property
+    def _derivative(self):
+        return self._interp.derivative()
+
+    @cached_property
     def _last_slope(self) -> float:
-        slope = float(self._interp.derivative()(self.points[-1][0]))
+        slope = float(self._derivative(self.points[-1][0]))
         if slope <= 0.0:
             raise ArgumentError("tabulated cost must have positive slope at its last point")
         return slope
@@ -178,8 +182,7 @@ class CostFunction:
         if self.kind == POWER:
             return self.theta * self.exponent * np.power(arr, self.exponent - 1.0)
         x_last, _ = self.points[-1]
-        deriv = self._interp.derivative()
-        return np.where(arr <= x_last, deriv(np.minimum(arr, x_last)), self._last_slope)
+        return np.where(arr <= x_last, self._derivative(np.minimum(arr, x_last)), self._last_slope)
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -293,7 +296,7 @@ def validate_environment(env: ContestEnvironment, contest=None, x_max: float | N
 
     Linear or common-exponent power families are checked analytically via
     their scale parameters. Mixed or tabulated families are checked on a
-    256-point geometric effort grid using central-difference slopes; the grid
+    256-point geometric effort grid using exact marginal costs; the grid
     tops out at the largest effort the contest under study could demand
     (inverse of the least efficient cost at the top prize), or 10.0 when no
     contest is in scope.
@@ -324,10 +327,7 @@ def validate_environment(env: ContestEnvironment, contest=None, x_max: float | N
             x_max = _DEFAULT_X_MAX
         xs = np.geomspace(x_max * 1e-6, x_max, _ORDERING_GRID_POINTS)
         grid = (float(xs[0]), float(xs[-1]), _ORDERING_GRID_POINTS)
-        h = 1e-6 * xs
-        slopes = np.array(
-            [(cf._evaluate(xs + h) - cf._evaluate(xs - h)) / (2.0 * h) for cf in env.types]
-        )
+        slopes = np.array([cf._slope(xs) for cf in env.types])
         for i in range(env.n_types - 1):
             bad = np.nonzero(slopes[i] <= slopes[i + 1])[0]
             if bad.size:

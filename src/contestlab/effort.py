@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _NODES, _WEIGHTS, QUAD_TOL, adaptive
+from ._quad import _NODES, _WEIGHTS, QUAD_TOL, _monotone_inverse, adaptive
 from .costs import TABULATED, ContestEnvironment
 from .equilibrium import Equilibrium
 from .errors import ArgumentError, CapabilityError
@@ -107,6 +107,15 @@ _GRADED_PANELS = 12
 _GRADE_RATIO = 1.0 / 16.0
 
 
+def _gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 64-node Gauss panels between consecutive edges along the last axis."""
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * _NODES).reshape(shape)
+    return nodes, (half[..., None] * _WEIGHTS).reshape(shape)
+
+
 class _EffortOperator:
     """Expected effort of many prize ladders on one environment, on fixed nodes.
 
@@ -115,14 +124,15 @@ class _EffortOperator:
     grading toward t = 0, where the cost level vanishes and the cost inverse
     can have unbounded slope (t^(j/e) when the first j prizes are zero under a
     power-e base). The pmf matrices at the nodes and at the cuts P_k are kept,
-    so a batch of ladders costs two products for the prize curve, the forward
-    recursion of solve for the utilities, and one cost inverse per segment.
+    so a batch of ladders costs matrix products for the prize curve, the
+    forward recursion of solve for the utilities, and one cost inverse per
+    segment.
 
     A tabulated type's inverse has second-derivative jumps where the cost
     level crosses a table knot, at win probabilities that move with the
-    ladder; fixed panels leave about 1e-10 there, so __call__ integrates its
-    segment by the same adaptive rule as expected_effort, ladder by ladder.
-    slopes differentiates every segment on the fixed nodes.
+    ladder. Its segment's panels are split there for each ladder, so every
+    panel integrates a smooth piece; the crossings come from one bisection on
+    the prize curve for all knots, segments and ladders of a call.
 
     Nothing is checked per ladder: callers validate the environment once and
     pass nondecreasing ladders with v_0 = 0 and a positive top prize.
@@ -131,40 +141,68 @@ class _EffortOperator:
     def __init__(self, env: ContestEnvironment) -> None:
         self.env = env
         cuts = env.cumulative
-        nodes, weights = [], []
-        for k in range(1, env.n_types + 1):
+        self._edges, self._panels = [], []
+        for k, cf in enumerate(env.types, start=1):
             edges = np.linspace(cuts[k - 1], cuts[k], _UNIFORM_PANELS + 1)
             if k == 1:
                 graded = edges[1] * _GRADE_RATIO ** np.arange(_GRADED_PANELS, 0, -1)
                 edges = np.concatenate(([0.0], graded, edges[1:]))
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes.append((mid[:, None] + half[:, None] * _NODES).ravel())
-            weights.append((half[:, None] * _WEIGHTS).ravel())
-        ends = np.cumsum([0] + [w.size for w in weights])
-        self._segments = [slice(a, b) for a, b in zip(ends, ends[1:])]
-        self._weights = np.concatenate(weights)
-        self._node_pmf = _pmf_rows(env.n_others, np.concatenate(nodes))
+            self._edges.append(edges)
+            nodes, weights = _gauss_nodes(edges)
+            # a tabulated segment's nodes are laid per ladder, by _segment_panels
+            tabulated = cf.kind == TABULATED
+            self._panels.append(None if tabulated else (_pmf_rows(env.n_others, nodes), weights))
         self._cut_pmf = _pmf_rows(env.n_others, np.asarray(cuts))
         self.derivatives = 0  # directional derivatives taken by slopes
+
+    def _segment_panels(self, ladders: np.ndarray, pis: np.ndarray, utilities: np.ndarray):
+        """pmf at the nodes and weights of each segment, for a (batch, N+1) array of ladders.
+
+        Shared by the batch, (N+1, M) and (M,), except on a tabulated segment:
+        there (batch, N+1, M) and (batch, M), the segment's fixed panels split
+        for each ladder where its cost level pi(t) - u_k crosses a table knot.
+        pis holds pi at the cuts and utilities the u_k, one row per ladder.
+        Only knots that some ladder crosses inside their segment are solved for.
+        """
+        tabulated = [k for k, panels in enumerate(self._panels) if panels is None]
+        if not tabulated:
+            return self._panels
+        n, cuts = self.env.n_others, np.asarray(self.env.cumulative)
+        knots = [np.array(self.env.types[k].points[1:])[:, 1] for k in tabulated]
+        owner = np.concatenate([np.full(c.size, k) for k, c in zip(tabulated, knots)])
+        targets = utilities[:, owner] + np.concatenate(knots)
+        crossed = ((pis[:, owner] < targets) & (targets < pis[:, owner + 1])).any(axis=0)
+        owner, targets = owner[crossed], targets[:, crossed]
+
+        def pmf(ts: np.ndarray) -> np.ndarray:  # (batch, N+1, M) at ts of shape (batch, M)
+            return _pmf_rows(n, ts.ravel()).reshape(n + 1, *ts.shape).transpose(1, 0, 2)
+
+        # a crossing off by d moves the node sum by about d^2 (the integrand of
+        # slopes has a kink there), so a bracket of 1e-10 is far below rounding
+        crossings = _monotone_inverse(
+            lambda ts: (ladders[:, None] @ pmf(ts))[:, 0],
+            targets, cuts[owner], cuts[owner + 1], steps=64, tol=1e-10,
+        )
+        panels = list(self._panels)
+        for k in tabulated:
+            fixed = np.broadcast_to(self._edges[k], (ladders.shape[0], self._edges[k].size))
+            nodes, weights = _gauss_nodes(np.sort(np.hstack((fixed, crossings[:, owner == k]))))
+            panels[k] = pmf(nodes), weights
+        return panels
 
     def __call__(self, ladders: np.ndarray) -> np.ndarray:
         """Expected effort of each row of a (batch, N+1) array of prize ladders."""
         pis = ladders @ self._cut_pmf
-        curve = ladders @ self._node_pmf
-        total = np.zeros(ladders.shape[0])
+        utilities = np.zeros((ladders.shape[0], self.env.n_types))
         boundary = np.zeros(ladders.shape[0])
-        for k, (cf, seg) in enumerate(zip(self.env.types, self._segments), start=1):
-            u_k = pis[:, k - 1] - cf._evaluate(boundary)
-            boundary = cf._inverse(np.maximum(pis[:, k] - u_k, 0.0))
-            if cf.kind == TABULATED:
-                total += [
-                    _segment_integral(self.env, ladder, k, u, QUAD_TOL)
-                    for ladder, u in zip(ladders, u_k)
-                ]
-                continue
-            levels = np.maximum(curve[:, seg] - u_k[:, None], 0.0)
-            total += cf._inverse(levels.ravel()).reshape(levels.shape) @ self._weights[seg]
+        for k, cf in enumerate(self.env.types):
+            utilities[:, k] = pis[:, k] - cf._evaluate(boundary)
+            boundary = cf._inverse(np.maximum(pis[:, k + 1] - utilities[:, k], 0.0))
+        total = np.zeros(ladders.shape[0])
+        panels = self._segment_panels(ladders, pis, utilities)
+        for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
+            levels = np.maximum((ladders[:, None] @ pmf)[:, 0] - utilities[:, k, None], 0.0)
+            total += (cf._inverse(levels.ravel()).reshape(levels.shape) * weights).sum(axis=1)
         return total
 
     def slopes(self, ladder: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -172,22 +210,28 @@ class _EffortOperator:
 
         Exact for the node sum: through 1 / c'(c^-1(level)) at every node (a
         node whose marginal cost is 0 or underflows adds nothing) and through
-        the utilities of solve's recursion. Directions keep v_0 = 0.
+        the utilities of solve's recursion. A tabulated segment's split points
+        are held where they are; moving them changes the sum only by its
+        quadrature error. Directions keep v_0 = 0.
         """
-        pis, curve = ladder @ self._cut_pmf, ladder @ self._node_pmf
-        d_pis, d_curve = directions @ self._cut_pmf, directions @ self._node_pmf
-        total = np.zeros(directions.shape[0])
+        pis, d_pis = ladder @ self._cut_pmf, directions @ self._cut_pmf
         self.derivatives += directions.shape[0]
-        u_k, d_u = pis[:1], d_pis[:, 0]
-        for k, (cf, seg) in enumerate(zip(self.env.types, self._segments), start=1):
-            if k > 1:
-                u_k = pis[k - 1 : k] - cf._evaluate(boundary)
-                d_u = d_pis[:, k - 1] - cf._slope(boundary) * d_boundary
-            boundary = cf._inverse(np.maximum(pis[k : k + 1] - u_k, 0.0))
-            d_boundary = (d_pis[:, k] - d_u) / cf._slope(boundary)
-            rates = cf._slope(cf._inverse(np.maximum(curve[seg] - u_k, 0.0)))
-            scaled = np.divide(self._weights[seg], rates, out=np.zeros_like(rates), where=rates > 0)
-            total += d_curve[:, seg] @ scaled - d_u * scaled.sum()
+        utilities = np.zeros(self.env.n_types)  # u_1 = 0 and, as v_0 = 0, so is its derivative
+        d_utilities = np.zeros((directions.shape[0], self.env.n_types))
+        for k, cf in enumerate(self.env.types):
+            if k > 0:  # skips c'(b_0 = 0), infinite under a power base below 1
+                utilities[k] = pis[k] - cf._evaluate(boundary)[0]
+                d_utilities[:, k] = d_pis[:, k] - cf._slope(boundary) * d_boundary
+            boundary = cf._inverse(np.maximum(pis[k + 1 : k + 2] - utilities[k], 0.0))
+            d_boundary = (d_pis[:, k + 1] - d_utilities[:, k]) / cf._slope(boundary)
+        total = np.zeros(directions.shape[0])
+        panels = self._segment_panels(ladder[None], pis[None], utilities[None])
+        for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
+            if pmf.ndim == 3:  # a tabulated segment, split for this ladder
+                pmf, weights = pmf[0], weights[0]
+            rates = cf._slope(cf._inverse(np.maximum(ladder @ pmf - utilities[k], 0.0)))
+            scaled = np.divide(weights, rates, out=np.zeros_like(rates), where=rates > 0)
+            total += (directions @ pmf) @ scaled - d_utilities[:, k] * scaled.sum()
         return total
 
 

@@ -25,9 +25,3 @@ class CapabilityError(ContestError):
 class NumericError(ContestError, ArithmeticError):
     """An iterative numeric procedure failed to produce a usable result."""
 
-
-class StepError(NumericError):
-    """A finite-difference step leaves the feasible contest set.
-
-    Carries a suggestion to retry with a smaller step.
-    """

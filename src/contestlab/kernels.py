@@ -133,8 +133,9 @@ def _pmf_rows(n: int, arr: np.ndarray, rows=None) -> np.ndarray:
             + ms[:, None] * np.log(ti)[None, :]
             + (n - ms)[:, None] * np.log1p(-ti)[None, :]
         )
-    out[np.ix_(ms == 0, arr == 0.0)] = 1.0
-    out[np.ix_(ms == n, arr == 1.0)] = 1.0
+    if ti.size < arr.size:
+        out[np.ix_(ms == 0, arr == 0.0)] = 1.0
+        out[np.ix_(ms == n, arr == 1.0)] = 1.0
     return out
 
 

@@ -558,10 +558,9 @@ class TestSchemaTable:
             ({"name": "optimize", "mode": "banana"}, {"budget": 1.0}),
             ({"name": "verify", "n_samples": -5}, None),
             ({"name": "verify", "grid_size": 10}, None),
-            ({"name": "compare", "m": 2, "m_prime": 1, "numeric": True, "step": 0.0}, None),
             ({"name": "compare", "m": 0, "m_prime": 1}, None),
         ],
-        ids=["mode", "n_samples", "grid_size", "step", "m"],
+        ids=["mode", "n_samples", "grid_size", "m"],
     )
     def test_option_the_library_rejects_exits_4(
         self, tmp_path, capsys, front_end, command, contest
@@ -572,6 +571,29 @@ class TestSchemaTable:
         assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith("contestlab: invalid option:")
+        assert captured.out == ""
+
+    def test_transfer_blocked_in_both_directions_exits_4(self, tmp_path, capsys, front_end):
+        # winner-takes-all: v_1 can neither fall below v_0 nor rise above v_2
+        config = {
+            "environment": {
+                "n_others": 4, "types": ["power"], "thetas": [1.0], "exponents": [3.0], "probs": [1.0]
+            },
+            "contest": {"prizes": [0.0, 0.0, 0.0, 0.0, 1.0]},
+            "command": {"name": "compare", "m": 4, "m_prime": 1, "numeric": True},
+        }
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("contestlab: invalid option:")
+        assert "monotonicity in both directions" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_step_is_not_an_option_of_compare(self, tmp_path, capsys, front_end):
+        config = _with(BASE, "command", name="compare", m=2, m_prime=1, numeric=True, step=0.01)
+        assert _main(tmp_path, config, front_end, "--out", "-") == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert "step" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("options", [{"grid_points": 0}, {"n_list": [16, 4]}])
@@ -685,12 +707,12 @@ class TestJsonTypes:
         assert captured.out == ""
         assert not (tmp_path / "5").exists()
 
-    def test_integer_given_for_a_float_option_reads_as_in_text(self, tmp_path):
-        config = _with(BASE, "command", name="compare", m=2, m_prime=1, numeric=True, step=1)
-        from_json = load_config(_write(tmp_path, _render(config, "json"), "step.json"))
-        from_text = load_config(_write(tmp_path, _render(config, "text"), "step.cfg"))
+    def test_integer_given_for_a_float_field_reads_as_in_text(self, tmp_path):
+        config = _with(BASE, "contest", budget=2)
+        from_json = load_config(_write(tmp_path, _render(config, "json"), "budget.json"))
+        from_text = load_config(_write(tmp_path, _render(config, "text"), "budget.cfg"))
         assert from_json == from_text
-        assert type(from_json.options["step"]) is float
+        assert type(from_json.budget) is float
 
 
 def test_internal_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
@@ -717,7 +739,7 @@ _FINITE_RUNS = (
     ({"name": "effort"}, {"prizes": [0.0, 0.0, 1.0]}),
     ({"name": "alpha", "cost_space": True}, {}),
     (
-        {"name": "compare", "m": 2, "m_prime": 1, "numeric": True, "step": 0.01},
+        {"name": "compare", "m": 2, "m_prime": 1, "numeric": True},
         {"prizes": [0.0, 0.4, 1.0]},
     ),
     ({"name": "optimize", "mode": "vertex"}, {"budget": 1.0}),

@@ -12,7 +12,6 @@ from contestlab import (
     Contest,
     ContestEnvironment,
     CostFunction,
-    StepError,
     alpha_coefficients,
     attach_numeric_estimate,
     binary_transfer_sign,
@@ -126,8 +125,7 @@ class TestNumericEffect:
             assert abs(numeric - closed) <= 1e-6
 
     def test_matches_alpha_difference_to_1e9_on_linear_instances(self):
-        # effort is linear in the prizes, and the perturbed ladders share one
-        # set of quadrature nodes, so only rounding separates the two
+        # effort is linear in the prizes, so only quadrature rounding separates the two
         rng = np.random.default_rng(79)
         for _ in range(20):
             n = int(rng.integers(2, 8))
@@ -138,7 +136,7 @@ class TestNumericEffect:
             contest = random_spread_contest(rng, n)
             numeric = competition_effect_numeric(env, contest, query)
             assert abs(numeric - competition_effect_linear(env, query)) <= 1e-9
-            # winner-takes-all admits only the one-sided difference
+            # winner-takes-all admits the transfer in one direction only
             top = CompetitionQuery(n, n - 1)
             numeric = competition_effect_numeric(env, Contest((0.0,) * n + (1.0,)), top)
             assert abs(numeric - competition_effect_linear(env, top)) <= 1e-9
@@ -167,12 +165,38 @@ class TestNumericEffect:
         )
         assert effect == pytest.approx(0.0, abs=1e-8)
 
-    def test_step_error_when_no_room(self, single_type_env):
-        contest = Contest((0.0, 0.25, 0.5))
-        with pytest.raises(StepError):
-            competition_effect_numeric(
-                single_type_env, contest, CompetitionQuery(2, 1), step=10.0
-            )
+    def test_transfer_blocked_in_both_directions_raises(self):
+        # v_1 can neither fall below v_0 nor rise above v_2; the node sum of
+        # the derivative there reads about -1e13
+        env = ContestEnvironment(4, (CostFunction.power(1.0, 3.0),), (1.0,))
+        with pytest.raises(ArgumentError, match="both directions"):
+            competition_effect_numeric(env, Contest((0.0,) * 4 + (1.0,)), CompetitionQuery(4, 1))
+
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize(
+        "prizes",
+        [(0, 0, 0, 0, 1), (0, 0, 0, 0.3, 0.7), (0, 0, 0.2, 0.3, 0.5)],
+        ids=["winner-takes-all", "top-two", "top-three"],
+    )
+    def test_matches_mpmath_derivative(self, exponent, prizes):
+        # complete information, power base: effort is the integral of
+        # pi(t)^(1/e) over [0, 1], so the transfer effect is the integral of
+        # pi^(1/e - 1) (pmf_4 - pmf_3) / e, singular at t = 0 for e > 1
+        mpmath = pytest.importorskip("mpmath")
+        env = ContestEnvironment(4, (CostFunction.power(1.0, exponent),), (1.0,))
+        effect = competition_effect_numeric(env, Contest(prizes), CompetitionQuery(4, 3))
+        with mpmath.workdps(40):
+            e, v = mpmath.mpf(exponent), [mpmath.mpf(p) for p in prizes]
+
+            def pmf(m, t):
+                return mpmath.binomial(4, m) * t**m * (1 - t) ** (4 - m)
+
+            def integrand(t):
+                curve = sum(v[m] * pmf(m, t) for m in range(5))
+                return curve ** (1 / e - 1) * (pmf(4, t) - pmf(3, t)) / e
+
+            reference = float(mpmath.quad(integrand, [0, 0.5, 1]))
+        assert abs(effect - reference) <= 1e-12 * abs(reference)
 
 
 class TestBinaryTransferSign:

@@ -222,6 +222,30 @@ class TestFrankWolfe:
         assert solution.value >= max(val for _, val in solution.vertex_values)
         assert solution.label == "mixed"
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tabulated_gap_is_confirmed_by_differences_of_expected_effort(self, n):
+        # the baseline tables; each derivative along V_i - x is a central
+        # difference of expected_effort, or a second-order forward one where
+        # the backward ladder is not monotone (x has tied prizes that V_i splits)
+        tables = [[(0, 0), (0.5, 0.4), (1, 1.5), (2, 5)], [(0, 0), (0.5, 0.2), (1, 0.8), (2, 3)]]
+        env = ContestEnvironment(n, tuple(CostFunction.tabulated(t) for t in tables), (0.5, 0.5))
+        budget = 1.0
+        solution = optimize_budget(env, budget, mode="vertex_plus_search")
+        assert solution.gap <= 1e-9 * budget
+        x, h = np.array(solution.contest.prizes), 1e-4
+
+        def value(ladder):
+            contest = Contest(tuple(ladder.tolist()))
+            return expected_effort(env, contest, solve(env, contest), tol=1e-13)
+
+        for vertex in enumerate_vertices(n, budget)[1:]:
+            d = np.array(vertex.prizes) - x
+            if np.all(np.diff(x - h * d) >= 0.0):
+                slope = (value(x + h * d) - value(x - h * d)) / (2 * h)
+            else:
+                slope = (4 * value(x + h * d) - value(x + 2 * h * d) - 3 * value(x)) / (2 * h)
+            assert slope <= 1e-9 * budget
+
     def test_vertex_mode_reports_no_gap(self, two_type_env):
         assert optimize_budget(two_type_env, 1.0, mode="vertex").gap is None
 

@@ -219,14 +219,12 @@ def _ladders_with_zeros(rng, n: int, count: int) -> np.ndarray:
     return np.array(out)
 
 
-def _operator_error(env, ladders, tight: bool = True) -> float:
+def _operator_error(env, ladders) -> float:
     """Largest |operator - expected_effort| / max(1, value) over the ladders.
 
-    With tight=True expected_effort runs at tol 1e-12 * max(1, value): its
-    default 1e-10 acceptance leaves up to about 2e-11 at a t^(j/2) endpoint,
-    where the graded fixed nodes are the more accurate of the two. Tabulated
-    segments go through the same adaptive rule in both, so they compare at
-    the default tolerance.
+    expected_effort runs at tol 1e-12 * max(1, value): its default 1e-10
+    acceptance leaves up to about 2e-11 at a t^(j/2) endpoint and 4e-12 at a
+    table knot, where the fixed nodes are the more accurate of the two.
     """
     values = _EffortOperator(env)(ladders)
     worst = 0.0
@@ -234,10 +232,13 @@ def _operator_error(env, ladders, tight: bool = True) -> float:
         contest = Contest(tuple(prizes.tolist()))
         eqm = solve(env, contest)
         ref = expected_effort(env, contest, eqm)
-        if tight:
-            ref = expected_effort(env, contest, eqm, tol=1e-12 * max(1.0, ref))
+        ref = expected_effort(env, contest, eqm, tol=1e-12 * max(1.0, ref))
         worst = max(worst, abs(value - ref) / max(1.0, ref))
     return worst
+
+
+# knots at costs the cost levels of test_slopes_match_central_differences cross
+_SLOPES_TABLE = ((0, 0), (0.05, 0.05), (0.2, 0.3), (1, 2.2))
 
 
 class TestEffortOperator:
@@ -272,7 +273,7 @@ class TestEffortOperator:
         rng = np.random.default_rng(227)
         tables = [[(0.0, 0.0), (0.2, 0.2 * s), (0.5, 0.8 * s), (1.0, 2.2 * s)] for s in (2.0, 1.0)]
         env = ContestEnvironment(4, tuple(CostFunction.tabulated(t) for t in tables), (0.5, 0.5))
-        assert _operator_error(env, _ladders_with_zeros(rng, 4, 8), tight=False) <= 1e-12
+        assert _operator_error(env, _ladders_with_zeros(rng, 4, 8)) <= 1e-12
 
     def test_mixed_kind_types(self):
         rng = np.random.default_rng(229)
@@ -280,7 +281,7 @@ class TestEffortOperator:
         with_table = ContestEnvironment(
             3, (CostFunction.tabulated(table), CostFunction.linear(1.0)), (0.4, 0.6)
         )
-        assert _operator_error(with_table, _ladders_with_zeros(rng, 3, 6), tight=False) <= 1e-12
+        assert _operator_error(with_table, _ladders_with_zeros(rng, 3, 6)) <= 1e-12
         curved = ContestEnvironment(
             3, (CostFunction.linear(3.0), CostFunction.power(1.0, 2.0)), (0.4, 0.6)
         )
@@ -293,8 +294,10 @@ class TestEffortOperator:
             [CostFunction.linear(2.0), CostFunction.linear(1.0)],
             [CostFunction.power(t, 2.0) for t in (3.0, 2.0, 1.0)],
             [CostFunction.power(3.0, 2.0), CostFunction.power(1.0, 2.5)],
+            [CostFunction.tabulated([(x, s * c) for x, c in _SLOPES_TABLE]) for s in (2, 1)],
+            [CostFunction.linear(4.0), CostFunction.tabulated(_SLOPES_TABLE)],
         ],
-        ids=["concave", "linear", "convex", "mixed"],
+        ids=["concave", "linear", "convex", "mixed", "tabulated", "table+linear"],
     )
     def test_slopes_match_central_differences(self, types):
         rng = np.random.default_rng(239)
