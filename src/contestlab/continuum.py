@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._quad import _elementwise, _monotone_inverse, adaptive, gauss_panels
+from ._quad import _Pchip, _elementwise, _monotone_inverse, adaptive, gauss_panels
 from .costs import ContestEnvironment, CostFunction
 from .equilibrium import exante_cdf, solve
 from .errors import ArgumentError, ContestError, NumericError
@@ -33,9 +32,10 @@ class ContinuumEnvironment:
     """Marginal-cost types on [theta_lo, theta_hi] with CDF from a small family.
 
     family "uniform" spreads mass evenly; "power" uses ((t - lo)/(hi - lo))**shape;
-    "tabulated" interpolates supplied (theta, G) samples monotonically. Costs
-    are linear in effort with slope theta, matching the finite-model convention
-    that larger scales are less efficient.
+    "tabulated" interpolates supplied (theta, G) samples by the monotone cubic
+    _Pchip, which also gives the density and the quantiles. Costs are linear
+    in effort with slope theta, matching the finite-model convention that
+    larger scales are less efficient.
     """
 
     n_others: int
@@ -86,14 +86,8 @@ class ContinuumEnvironment:
         return cls(n_others, pts[0][0], pts[-1][0], family=TABULATED, points=pts)
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        ts = np.array([p[0] for p in self.points])
-        gs = np.array([p[1] for p in self.points])
-        return PchipInterpolator(ts, gs, extrapolate=False)
-
-    @cached_property
-    def _interp_density(self):
-        return self._interp.derivative()
+    def _interp(self) -> _Pchip:
+        return _Pchip(*zip(*self.points))
 
     def cdf(self, theta):
         """Type CDF G at theta; clipped to the support, so 0 below it and 1 above."""
@@ -120,7 +114,7 @@ class ContinuumEnvironment:
         if self.family == POWER:
             u = (arr - self.theta_lo) / span
             return self.shape * np.power(u, self.shape - 1.0) / span
-        return self._interp_density(arr)
+        return self._interp.slope(arr)
 
     def quantile(self, q):
         """Type at CDF level q; accepts a scalar or an array of levels."""
@@ -132,7 +126,7 @@ class ContinuumEnvironment:
             return self.theta_lo + arr * span
         if self.family == POWER:
             return self.theta_lo + span * np.power(arr, 1.0 / self.shape)
-        return _monotone_inverse(self._cdf, arr, self.theta_lo, self.theta_hi, steps=80)
+        return self._interp.inverse(arr)
 
 
 # Tail-table layout: uniform panels per segment, plus geometric panels that

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from ._quad import _elementwise, _monotone_inverse
+from ._quad import _Pchip, _elementwise
 from .errors import ArgumentError
 
 LINEAR = "linear"
@@ -33,9 +32,11 @@ class CostFunction:
     """One member of the type-space: evaluation, inverse, slope, shape flags.
 
     kind is one of "linear" (theta * x), "power" (theta * x**exponent), or
-    "tabulated" (monotone piecewise-cubic through sample points, linear
+    "tabulated" (the monotone cubic _Pchip through sample points, linear
     extrapolation at the last slope). theta and exponent must be positive;
-    tabulated tables must start at (0, 0) and be strictly increasing.
+    tabulated tables must start at (0, 0), be strictly increasing and end
+    on a positive slope, and their theta and exponent stay at 1, as a
+    linear cost's exponent does: the table alone sets the cost.
     """
 
     kind: str
@@ -59,6 +60,13 @@ class CostFunction:
             if any(b <= a for a, b in zip(cs, cs[1:])):
                 raise ArgumentError("tabulated costs must be strictly increasing")
             object.__setattr__(self, "points", pts)
+            if self.theta != 1.0 or self.exponent != 1.0:
+                raise ArgumentError(
+                    "tabulated costs have theta 1 and exponent 1, "
+                    f"got theta={self.theta!r}, exponent={self.exponent!r}"
+                )
+            if self._interp.d[-1] <= 0.0:
+                raise ArgumentError("tabulated cost must have positive slope at its last point")
         else:
             if not (math.isfinite(self.theta) and self.theta > 0.0):
                 raise ArgumentError(f"theta must be positive, got {self.theta!r}")
@@ -80,21 +88,8 @@ class CostFunction:
         return cls(TABULATED, points=tuple((float(x), float(c)) for x, c in points))
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        xs = np.array([p[0] for p in self.points])
-        cs = np.array([p[1] for p in self.points])
-        return PchipInterpolator(xs, cs, extrapolate=False)
-
-    @cached_property
-    def _derivative(self):
-        return self._interp.derivative()
-
-    @cached_property
-    def _last_slope(self) -> float:
-        slope = float(self._derivative(self.points[-1][0]))
-        if slope <= 0.0:
-            raise ArgumentError("tabulated cost must have positive slope at its last point")
-        return slope
+    def _interp(self) -> _Pchip:
+        return _Pchip(*zip(*self.points))
 
     @property
     def effective_exponent(self) -> float:
@@ -135,19 +130,17 @@ class CostFunction:
             return self.theta * arr
         if self.kind == POWER:
             return self.theta * np.power(arr, self.exponent)
-        x_last, c_last = self.points[-1]
-        return np.where(
-            arr <= x_last,
-            self._interp(np.minimum(arr, x_last)),
-            c_last + self._last_slope * (arr - x_last),
-        )
+        return self._interp(arr)
 
     def inverse(self, y):
         """Effort whose cost is y >= 0; closed form except for tables.
 
-        Tabulated costs grow the bracket along the last slope until the target
-        is covered, then bisect; the result satisfies |c(g(y)) - y| <= 1e-12
-        relative to the target scale.
+        Tabulated costs solve the table's cubic by Newton's method from a
+        chord of a fine grid (_Pchip.inverse); beyond the last point that
+        chord is the linear extrapolation, inverted in closed form. The
+        result satisfies |c(g(y)) - y| <= 1e-12 * max(1, y) wherever double
+        precision in the effort resolves the cost that finely, that is while
+        c'(x) * x stays below about 1e3 * max(1, y).
         """
         return _elementwise(self._inverse, y, 0.0, np.inf, "cost level")
 
@@ -157,20 +150,7 @@ class CostFunction:
             return arr / self.theta
         if self.kind == POWER:
             return np.power(arr / self.theta, 1.0 / self.exponent)
-        return self._invert_table(arr)
-
-    def _invert_table(self, y: np.ndarray) -> np.ndarray:
-        x_last, _ = self.points[-1]
-        hi = np.full_like(y, x_last)
-        while True:
-            cost = self._evaluate(hi)
-            short = cost < y
-            if not short.any():
-                break
-            hi = np.where(short, hi + ((y - cost) / self._last_slope + 1e-12), hi)
-        out = _monotone_inverse(self._evaluate, y, 0.0, hi, steps=80, tol=1e-15)
-        out[y == 0.0] = 0.0
-        return out
+        return self._interp.inverse(arr)
 
     def slope(self, x):
         """Marginal cost at effort x >= 0."""
@@ -181,8 +161,7 @@ class CostFunction:
             return np.full_like(arr, self.theta)
         if self.kind == POWER:
             return self.theta * self.exponent * np.power(arr, self.exponent - 1.0)
-        x_last, _ = self.points[-1]
-        return np.where(arr <= x_last, self._derivative(np.minimum(arr, x_last)), self._last_slope)
+        return self._interp.slope(arr)
 
     def __call__(self, x):
         return self.evaluate(x)

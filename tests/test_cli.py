@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -642,6 +646,26 @@ class TestFieldsTheKindReads:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "spread, code",
+        [
+            ({"thetas": [99.0, 1.0], "exponents": [5.0, 1.0]}, EXIT_VALIDATION),
+            ({"thetas": [99.0, 1.0]}, EXIT_VALIDATION),
+            ({"thetas": [1.0, 1.0], "exponents": [1.0, 1.0]}, EXIT_OK),
+        ],
+        ids=["theta-and-exponent", "theta", "placeholders"],
+    )
+    def test_spread_values_for_a_tabulated_type_must_be_1(
+        self, tmp_path, capsys, front_end, spread, code
+    ):
+        env = {"n_others": 2, "types": ["tabulated", "linear"], "probs": [0.5, 0.5]}
+        env.update(spread, table_1=[[0.0, 0.0], [1.0, 3.0], [2.0, 7.0]])
+        assert _main(tmp_path, dict(BASE, environment=env), front_end, "--out", "-") == code
+        if code == EXIT_VALIDATION:
+            captured = capsys.readouterr()
+            assert "type 1: tabulated costs have theta 1 and exponent 1" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"shape": 7.0},
@@ -673,6 +697,24 @@ class TestJsonTypes:
         config = dict(BASE, environment={"n_others": 2, "types": records})
         assert _main(tmp_path, config, "json", "--out", "-") == EXIT_SCHEMA
         assert "type 1 is power but takes no table" in capsys.readouterr().err
+
+    def test_theta_in_a_tabulated_type_record_exits_4(self, tmp_path, capsys):
+        records = [
+            {"kind": "tabulated", "theta": 99, "prob": 0.5, "table": [[0, 0], [1, 3], [2, 7]]},
+            {"kind": "linear", "theta": 1.0, "prob": 0.5},
+        ]
+        config = dict(BASE, environment={"n_others": 2, "types": records})
+        assert _main(tmp_path, config, "json", "--out", "-") == EXIT_VALIDATION
+        assert "theta=99.0" in capsys.readouterr().err
+
+    def test_table_ending_on_a_zero_slope_exits_4(self, tmp_path, capsys):
+        records = [
+            {"kind": "tabulated", "prob": 0.5, "table": [[0, 0], [1, 20], [2, 21]]},
+            {"kind": "tabulated", "prob": 0.5, "table": [[0, 0], [1, 1], [2, 2]]},
+        ]
+        config = dict(BASE, environment={"n_others": 2, "types": records})
+        assert _main(tmp_path, config, "json", "--out", "-") == EXIT_VALIDATION
+        assert "positive slope at its last point" in capsys.readouterr().err
 
     def test_unknown_type_record_field_exits_3(self, tmp_path, capsys):
         records = [
@@ -713,6 +755,15 @@ class TestJsonTypes:
         from_text = load_config(_write(tmp_path, _render(config, "text"), "budget.cfg"))
         assert from_json == from_text
         assert type(from_json.budget) is float
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, contestlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_internal_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

@@ -122,6 +122,22 @@ class TestDistributionFamilies:
         levels = np.linspace(0.0, 1.0, 33)
         assert list(cenv.quantile(levels)) == [cenv.quantile(float(q)) for q in levels]
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1.0, 0.0), (1.5, 0.4), (2.0, 1.0)],
+            # a thin top tail: the end rule clips the density at theta_hi to 0
+            [(1.0, 0.0), (1.1, 0.02), (1.2, 0.9), (3.0, 0.99), (4.0, 1.0)],
+            [(0.5, 0.0), (0.6, 1e-6), (0.7, 0.5), (5.0, 1.0)],
+        ],
+    )
+    def test_tabulated_quantile_inverts_the_cdf(self, points):
+        cenv = ContinuumEnvironment.tabulated(1, points)
+        levels = np.concatenate((np.linspace(0.0, 1.0, 257), [g for _, g in points]))
+        thetas = cenv.quantile(levels)
+        np.testing.assert_allclose(cenv.cdf(thetas), levels, rtol=0.0, atol=1e-14)
+        assert np.all((thetas >= cenv.theta_lo) & (thetas <= cenv.theta_hi))
+
     def test_quantile_rejects_levels_outside_the_unit_interval(self):
         cenv = ContinuumEnvironment.uniform(1, 1.0, 2.0)
         for bad in (-0.1, 1.5, float("nan"), np.array([0.5, 1.2])):

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from contestlab import (
     ArgumentError,
@@ -13,6 +14,7 @@ from contestlab import (
     cost_inverse,
     validate_environment,
 )
+from contestlab._quad import _Pchip
 
 
 class TestCostEval:
@@ -89,22 +91,22 @@ class TestCostInverse:
         cf = CostFunction.tabulated([(0.0, 0.0), (0.5, 0.2), (1.0, 0.7), (2.0, 2.5)])
 
         def pointwise(y):
-            # one bracket and one scalar bisection per target
+            # one bracket and one scalar bisection per target, run until the
+            # bracket ends are adjacent floats
             if y == 0.0:
                 return 0.0
             hi = cf.points[-1][0]
             while cf.evaluate(hi) < y:
-                hi += (y - cf.evaluate(hi)) / cf._last_slope + 1e-12
+                hi += (y - cf.evaluate(hi)) / cf.slope(hi) + 1e-12
             lo = 0.0
-            for _ in range(80):
+            while True:
                 mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return mid
                 if cf.evaluate(mid) < y:
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo <= 1e-15 * max(1.0, hi):
-                    break
-            return 0.5 * (lo + hi)
 
         # targets inside the table, on the last knot and beyond it
         ys = np.concatenate(([0.0, 1e-14, 0.2, 2.5, 2.5 + 1e-9], np.linspace(0.01, 40.0, 57)))
@@ -159,6 +161,84 @@ class TestCostFunctionConstruction:
     def test_rejects_nonincreasing_table(self):
         with pytest.raises(ArgumentError):
             CostFunction.tabulated([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "fields", [{"theta": 99.0}, {"exponent": 5.0}, {"theta": float("nan")}]
+    )
+    def test_tabulated_takes_no_theta_or_exponent(self, fields):
+        with pytest.raises(ArgumentError, match="theta 1 and exponent 1"):
+            CostFunction("tabulated", points=((0.0, 0.0), (1.0, 3.0), (2.0, 7.0)), **fields)
+
+    def test_rejects_table_ending_on_a_zero_slope(self):
+        # the three-point end rule clips the last slope to zero: a bounded cost
+        with pytest.raises(ArgumentError, match="positive slope at its last point"):
+            CostFunction.tabulated([(0.0, 0.0), (1.0, 20.0), (2.0, 21.0)])
+
+
+def _random_table(rng):
+    """2 to 12 strictly increasing knots from (0, 0), steps spanning five decades."""
+    n = int(rng.integers(2, 13))
+    xs = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-2.5, 2.5, n - 1))))
+    cs = np.concatenate(([0.0], np.cumsum(10.0 ** rng.uniform(-2.5, 2.5, n - 1))))
+    return xs, cs
+
+
+@st.composite
+def _tables(draw):
+    """Cost tables whose segments run from near-flat to very steep (slopes over
+    eight decades). Knots are at least 0.5 apart, which keeps c'(x) x / c(x)
+    small enough for double precision in x to resolve c to 1e-12."""
+    n = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.5, 1.0), min_size=n - 1, max_size=n - 1))
+    log_rises = draw(st.lists(st.floats(-4.0, 4.0), min_size=n - 1, max_size=n - 1))
+    points = [(0.0, 0.0)]
+    for step, log_rise in zip(steps, log_rises):
+        points.append((points[-1][0] + step, points[-1][1] + 10.0**log_rise))
+    try:
+        return CostFunction.tabulated(points)
+    except ArgumentError:  # a table that ends on a zero slope is no cost
+        assume(False)
+
+
+class TestMonotoneCubic:
+    def test_values_and_slopes_match_scipy(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            xs, cs = _random_table(rng)
+            ours, theirs = _Pchip(xs, cs), PchipInterpolator(xs, cs)
+            ts = np.concatenate((xs, rng.uniform(0.0, xs[-1], 64)))
+            np.testing.assert_allclose(ours(ts), theirs(ts), rtol=1e-14, atol=0.0)
+            # a slope is compared relative to the terms it sums, the scale of
+            # both evaluations' rounding where those terms cancel
+            i = np.clip(np.searchsorted(xs, ts, side="right") - 1, 0, xs.size - 2)
+            dx = ts - xs[i]
+            c3, c2, c1 = np.abs(theirs.c[:3, i])
+            terms = 3.0 * c3 * dx**2 + 2.0 * c2 * dx + c1
+            assert np.all(np.abs(ours.slope(ts) - theirs.derivative()(ts)) <= 1e-14 * terms)
+
+    @given(_tables(), st.data())
+    def test_residual_bound(self, cf, data):
+        top = cf.points[-1][1]
+        y = data.draw(
+            st.one_of(
+                st.floats(0.0, top),  # inside the table
+                st.sampled_from([c for _, c in cf.points]),  # on the knots, 0 among them
+                st.floats(-12.0, 3.0).map(lambda e: top * (1.0 + 10.0**e)),  # beyond them
+            )
+        )
+        x = cost_inverse(cf, y)
+        assert abs(cost_eval(cf, x) - y) <= 1e-12 * max(1.0, y)
+
+    def test_array_inverse_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            xs, cs = _random_table(rng)
+            if _Pchip(xs, cs).d[-1] == 0.0:
+                continue  # a table ending on a zero slope is no cost
+            cf = CostFunction.tabulated(zip(xs, cs))
+            ys = np.concatenate((cs, [0.0, 1e-300], rng.uniform(0.0, 1.5 * cs[-1], 64)))
+            xs_out = cost_inverse(cf, ys)
+            assert [float(x) for x in xs_out] == [cost_inverse(cf, float(y)) for y in ys]
 
 
 class TestContestEnvironment:
