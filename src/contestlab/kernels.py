@@ -7,6 +7,12 @@ probability C(N, m) t^m (1-t)^(N-m); weighting the prize ladder by these
 probabilities gives the expected prize as a function of t, which is the
 object every other module is built on.
 
+That curve and its slope are polynomials in Bernstein form with
+nonnegative coefficients (prizes and prize gaps). _ladder_dot sums them by
+Horner's rule up to N = _HORNER_MAX_N and as pmf rows above it. _pmf_rows
+stays the one binomial kernel for the pmf and its tails, the alpha
+coefficients, the competition effects and the effort operator's matrices.
+
 The public functions of t take a scalar or an array of any shape: t is
 checked once to be finite and in [0, 1] (ArgumentError otherwise), and the
 result has t's shape, a scalar t giving a Python float (see
@@ -18,15 +24,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._quad import _elementwise, _monotone_inverse
 from .errors import ArgumentError, DomainError
 
-# Largest pmf block (elements) that prize-curve evaluation holds at once;
-# 2^18 was faster than 2^20 and holds about a quarter of the memory.
+# Largest N at which _ladder_dot runs Horner's rule: past N = 1022 the factor
+# max(t, 1-t)^N can fall to the subnormals, and past N = 1029 C(N, N/2)
+# overflows a float.
+_HORNER_MAX_N = 1000
+
+# Points per block of _ladder_dot's Horner sums: 2^13 was the fastest of 2^12
+# to 2^15 at N = 20, 200 and 1000.
+_HORNER_BLOCK = 1 << 13
+
+# Largest block of pmf values that _ladder_dot holds at once above
+# _HORNER_MAX_N; 2^18 was faster than 2^20 and holds about a quarter of the
+# memory.
 _BLOCK_ELEMENTS = 1 << 18
 
 _AT_MOST = "at_most"
@@ -121,7 +137,8 @@ def _pmf_rows(n: int, arr: np.ndarray, rows=None) -> np.ndarray:
     """The binomial kernel: row i holds P[Bin(n, t) = rows[i]] over the t-vector.
 
     rows defaults to all of 0..n. Every pmf and tail in the package is a row
-    or a sum of rows of this matrix.
+    or a sum of rows of this matrix, and so is the prize curve above
+    _HORNER_MAX_N.
     """
     ms = np.arange(n + 1) if rows is None else np.asarray(rows)
     out = np.zeros((ms.size, arr.size))
@@ -144,20 +161,83 @@ def _upper_tails(n: int, arr: np.ndarray) -> np.ndarray:
     return np.cumsum(_pmf_rows(n, arr)[::-1], axis=0)[::-1]
 
 
-def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
-    """weights @ _pmf_rows(n, arr), one block of columns at a time.
+@lru_cache(maxsize=256)
+def _horner_plan(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """_ladder_dot's layout at n: power p = j * width + i of s sits at [i, j].
 
-    A block holds at most _BLOCK_ELEMENTS pmf values unless n is so large
-    that 64 columns exceed it. Blocks span a multiple of 64 columns, so with
-    a single-threaded BLAS each column's value is the same as from one
-    unblocked product.
+    Returns width, the index of the weight that multiplies s^p for t <= 1/2
+    (p) and for t > 1/2 (n - p), shape (width, blocks, 2, 1), and C(n, p),
+    shape (width, blocks, 1, 1), zero for the powers past n that fill the
+    last block.
     """
-    step = max(64, (_BLOCK_ELEMENTS // (n + 1)) // 64 * 64)
+    width = max(1, math.isqrt((n + 1) // 2))
+    blocks = -(-(n + 1) // width)
+    p = np.arange(width * blocks).reshape(blocks, width).T[:, :, None, None]
+    combs = np.array([float(math.comb(n, m)) for m in range(n + 1)] + [0.0])
+    return width, np.concatenate([p, n - p], axis=2).clip(0, n), combs[np.minimum(p, n + 1)]
+
+
+def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
+    """sum_m weights[m] C(n, m) t^m (1-t)^(n-m) over the t-vector, for weights >= 0.
+
+    Up to n = _HORNER_MAX_N this is q^n times a polynomial in s = min(t, 1-t)
+    / q <= 1, q = max(t, 1-t), with the coefficients in order for t <= 1/2
+    and reversed above. Horner's rule runs in two levels, within blocks of
+    about sqrt(n/2) powers and then over the blocks in s^width, so a call
+    makes O(sqrt(n)) numpy calls however few its points. Both orders are
+    summed for every point, and a masked copy keeps the one for its side of
+    1/2. Every step is elementwise, so a point's value does not depend on
+    the others in the call. Nonnegative coefficients keep the sum well
+    conditioned (Farouki & Rajan, CAGD 1987); the rounding of 1 - t adds up
+    to n * 2^-54 relative error. The coefficients are divided by the
+    smallest power of two, at least 1, that keeps every partial sum below
+    2^1020: it is 1 for weights below 2^(1020-n), so t = 0 and t = 1 give
+    weights[0] and weights[n] exactly.
+
+    Above the cutoff it is weights @ _pmf_rows(n, arr), one block of at most
+    _BLOCK_ELEMENTS pmf values at a time (or 64 columns, if more).
+    """
+    if n > _HORNER_MAX_N:
+        step = max(64, (_BLOCK_ELEMENTS // (n + 1)) // 64 * 64)
+        return _blockwise(lambda part: weights @ _pmf_rows(n, part), arr, step)
+    top = max(weights.tolist())
+    if top == 0.0:
+        return np.zeros(arr.size)
+    scale = math.ldexp(1.0, max(math.frexp(top)[1] + n - 1020, 0))
+    width, index, combs = _horner_plan(n)
+    coefs = weights[index] * (1.0 / scale)
+    coefs *= combs
+    return _blockwise(partial(_horner, coefs, width, n, scale), arr, _HORNER_BLOCK)
+
+
+def _blockwise(f, arr: np.ndarray, step: int) -> np.ndarray:
+    """f over arr, step points at a time."""
     if arr.size <= step:
-        return weights @ _pmf_rows(n, arr)
-    return np.concatenate(
-        [weights @ _pmf_rows(n, arr[i : i + step]) for i in range(0, arr.size, step)]
-    )
+        return f(arr)
+    return np.concatenate([f(arr[i : i + step]) for i in range(0, arr.size, step)])
+
+
+def _horner(coefs: np.ndarray, width: int, n: int, scale: float, t: np.ndarray) -> np.ndarray:
+    """One block of _ladder_dot below the cutoff, for coefficients in _horner_plan's layout."""
+    rest = 1.0 - t
+    q = np.maximum(t, rest)
+    s = np.empty((2, t.size))  # one row per order: the products then broadcast less
+    s[:] = np.minimum(t, rest) / q
+    inner = np.empty((coefs.shape[1], 2, t.size))
+    inner[...] = coefs[-1]
+    for col in coefs[-2::-1]:
+        inner *= s
+        inner += col
+    if width > 1:
+        s **= width
+    acc = inner[-1]
+    for row in inner[-2::-1]:
+        acc *= s
+        acc += row
+    np.copyto(acc[1], acc[0], where=t <= 0.5)
+    q **= n
+    q *= scale
+    return acc[1] * q
 
 
 def prize_expectation(contest: Contest, t):
@@ -180,8 +260,7 @@ def prize_expectation_derivative(contest: Contest, t):
 
 def _prize_slope(contest: Contest, arr: np.ndarray) -> np.ndarray:
     n = contest.n_opponents
-    gaps = np.diff(np.asarray(contest.prizes))
-    return n * _ladder_dot(gaps, n - 1, arr) if n > 1 else gaps[0] * np.ones_like(arr)
+    return n * _ladder_dot(np.diff(np.asarray(contest.prizes)), n - 1, arr)
 
 
 def prize_expectation_inverse(contest: Contest, y):

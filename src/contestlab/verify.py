@@ -106,10 +106,9 @@ def monte_carlo_effort(
 ) -> MonteCarloReport:
     """Seeded Monte Carlo mean effort: draw a type, then an inverse-transform draw.
 
-    Samples are generated in fixed-size chunks with per-chunk seeds derived
-    from the master seed, so the merged estimate does not depend on how chunks
-    are scheduled across workers; reruns with the same seed are bit-identical.
-    seed must be a nonnegative integer.
+    Samples are generated in chunks of _MC_CHUNK draws, each from its own
+    child of the master seed, so memory stays bounded and reruns with the
+    same seed are bit-identical. seed must be a nonnegative integer.
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ArgumentError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -181,12 +181,24 @@ class TestPrizeExpectation:
             np.testing.assert_allclose(fd, exact, rtol=1e-6)
 
 
-    def test_long_vectors_are_evaluated_in_bounded_blocks(self, monkeypatch):
+    def test_horner_matches_pmf_rows_without_calling_them(self, monkeypatch):
         import contestlab.kernels as kernels
 
         n = 200
         contest = Contest(tuple(np.arange(n + 1) / n))
         ts = np.random.default_rng(7).random(1 << 17)
+        whole = contest.prizes @ kernels._pmf_rows(n, ts)
+        calls = []
+        monkeypatch.setattr(kernels, "_pmf_rows", lambda *args, **kw: calls.append(args))
+        np.testing.assert_allclose(prize_expectation(contest, ts), whole, rtol=1e-13, atol=0.0)
+        assert calls == []
+
+    def test_long_vectors_above_the_cutoff_are_evaluated_in_bounded_blocks(self, monkeypatch):
+        import contestlab.kernels as kernels
+
+        n = kernels._HORNER_MAX_N + 1
+        contest = Contest(tuple(np.arange(n + 1) / n))
+        ts = np.random.default_rng(7).random(1000)
         whole = contest.prizes @ kernels._pmf_rows(n, ts)
         sizes = []
         original = kernels._pmf_rows
@@ -200,6 +212,104 @@ class TestPrizeExpectation:
         assert len(sizes) > 1
         assert max(sizes) <= kernels._BLOCK_ELEMENTS
         np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0.0)
+
+
+def _ladder(n, seed):
+    increments = np.random.default_rng(seed).exponential(size=n)
+    return Contest(tuple(np.concatenate(([0.0], np.cumsum(increments)))))
+
+
+def _bernstein_mp(weights, t):
+    """sum_m w_m C(n, m) t^m (1-t)^(n-m) in 40-digit arithmetic, w and t as floats."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(weights) - 1
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(t))
+        return sum(
+            mpmath.mpf(float(w)) * mpmath.binomial(n, m) * t**m * (1 - t) ** (n - m)
+            for m, w in enumerate(weights)
+        )
+
+
+class TestHornerCurve:
+    """The prize curve and its slope against 40-digit sums, the pmf form and the float range."""
+
+    HALF_ULP_BELOW = float(np.nextafter(0.5, 0.0))
+    HALF_ULP_ABOVE = float(np.nextafter(0.5, 1.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 1000])
+    def test_curve_and_slope_match_forty_digits(self, n):
+        contest = _ladder(n, seed=n)
+        prizes = np.asarray(contest.prizes)
+        gaps = n * np.diff(prizes)
+        ts = np.array([0.0, 1e-12, 1e-6, self.HALF_ULP_BELOW, 0.5, self.HALF_ULP_ABOVE, 1 - 1e-6, 1.0])
+        curve = prize_expectation(contest, ts)
+        slope = prize_expectation_derivative(contest, ts)
+        for t, value, deriv in zip(ts, curve, slope):
+            for got, weights in ((value, prizes), (deriv, gaps)):
+                reference = _bernstein_mp(weights, t)
+                assert abs(got - reference) <= 1e-13 * abs(reference), (n, t, got, float(reference))
+
+    @given(
+        increments=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=60),
+        ts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+    )
+    def test_equals_the_pmf_form(self, increments, ts):
+        import contestlab.kernels as kernels
+
+        prizes = np.concatenate(([0.0], np.cumsum(increments)))
+        n = prizes.size - 1
+        arr = np.asarray(ts)
+        pmf = kernels._pmf_rows(n, arr)
+        np.testing.assert_allclose(
+            kernels._ladder_dot(prizes, n, arr), prizes @ pmf, rtol=1e-12, atol=1e-300
+        )
+        if n > 1:
+            gaps = np.diff(prizes)
+            np.testing.assert_allclose(
+                kernels._ladder_dot(gaps, n - 1, arr),
+                gaps @ kernels._pmf_rows(n - 1, arr),
+                rtol=1e-12,
+                atol=1e-300,
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 1000])
+    def test_endpoint_values_are_exact(self, n):
+        contest = _ladder(n, seed=n + 1)
+        v = contest.prizes
+        assert prize_expectation(contest, 0.0) == v[0]
+        assert prize_expectation(contest, 1.0) == v[-1]
+        assert prize_expectation_derivative(contest, 0.0) == n * (v[1] - v[0])
+        assert prize_expectation_derivative(contest, 1.0) == n * (v[-1] - v[-2])
+
+    @pytest.mark.parametrize("n", [2, 200, 1000])
+    def test_huge_prizes_stay_finite(self, n):
+        contest = _ladder(n, seed=3)
+        top = contest.top_prize
+        huge = Contest(tuple(np.asarray(contest.prizes) * (1e300 / top)))
+        ts = np.linspace(0.0, 1.0, 101)
+        for f in (prize_expectation, prize_expectation_derivative):
+            values = f(huge, ts)
+            assert np.all(np.isfinite(values))
+            np.testing.assert_allclose(values, f(contest, ts) * (1e300 / top), rtol=1e-13)
+
+    def test_a_point_does_not_depend_on_the_rest_of_the_call(self):
+        import contestlab.kernels as kernels
+
+        n = 200
+        prizes = np.asarray(_ladder(n, seed=5).prizes)
+        ts = np.random.default_rng(5).random(2 * kernels._HORNER_BLOCK + 17)
+        whole = kernels._ladder_dot(prizes, n, ts)
+        picks = np.random.default_rng(6).choice(ts.size, 40, replace=False)
+        singles = [kernels._ladder_dot(prizes, n, ts[i : i + 1])[0] for i in picks]
+        assert whole[picks].tolist() == singles
+
+    def test_all_zero_weights_give_zero(self):
+        import contestlab.kernels as kernels
+
+        ts = np.linspace(0.0, 1.0, 9)
+        assert kernels._ladder_dot(np.zeros(4), 3, ts).tolist() == [0.0] * 9
+        assert prize_expectation_derivative(Contest((0.0, 0.0)), ts).tolist() == [0.0] * 9
 
 
 class TestPrizeExpectationInverse:
