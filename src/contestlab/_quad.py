@@ -1,20 +1,20 @@
 """Numeric primitives: the scalar/array convention, Gauss-Legendre panels,
-vectorised bisection and the monotone cubic interpolant.
+a vectorised bracketed root finder and the monotone cubic interpolant.
 
 Every public elementwise function of the package (of t, effort, cost level,
 type or quantile level) goes through _elementwise: it takes a scalar or an
 array of any shape, rejects NaN, infinities and points outside its interval,
 and returns the argument's shape, a scalar as a Python float. Internal
-loops, integrands and bisections call the unchecked cores instead.
+loops, integrands and root finders call the unchecked cores instead.
 
 The integrands fed through here are smooth except possibly at panel
 endpoints (segment breakpoints are never interior), so a 64-node rule per
-panel converges fast; bisection kicks in only when two refinement levels
-disagree. The monotone inverses of the prize curve, the continuum
+panel converges fast; adaptive splits a panel only when two refinement
+levels disagree. The monotone inverses of the prize curve, the continuum
 strategies, the effort operator's knot crossings and the search's line
-steps run on _monotone_inverse; tabulated costs and tabulated continuum
-CDFs are _Pchip interpolants, which invert their own cubics by Newton's
-method.
+steps run on _monotone_inverse, Chandrupatla's interpolating root finder;
+tabulated costs and tabulated continuum CDFs are _Pchip interpolants,
+which invert their own cubics by Newton's method.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -32,6 +32,11 @@ QUAD_TOL = 1e-10
 # Panels per integrand call in gauss_panels: 8192 nodes keep the integrand's
 # temporaries small; larger blocks were slower and raised peak memory.
 _PANEL_BLOCK = 128
+
+# Cap on the steps of an element in _monotone_inverse, which raises
+# NumericError past it; bisection alone would need 50 to take [0, 1] down
+# to 1e-15.
+_ROOT_STEPS = 100
 
 
 def _elementwise(core, x, lo: float, hi: float, name: str, error=ArgumentError):
@@ -101,28 +106,64 @@ def _refine(f, a, b, coarse, tol, depth):
     )
 
 
-def _monotone_inverse(f, y, lo, hi, steps: int, tol: float = 0.0) -> np.ndarray:
-    """Solve f(x) = y elementwise by bisection, for f nondecreasing on [lo, hi].
+def _monotone_inverse(f, y, lo, hi, tol: float = 0.0) -> np.ndarray:
+    """Solve f(x) = y elementwise, for f nondecreasing on [lo, hi].
 
-    f maps an array of points to an array of values. Each element keeps the
-    bracket with f(lo) < y <= f(hi) and stops once its width falls to
-    tol * max(1, |hi|), so an element's result does not depend on which
-    other elements share the call. Returns the bracket midpoints.
+    f maps an array of points to an array of values. Each element keeps a
+    bracket with f(lo) < y <= f(hi) and steps inside it by Chandrupatla's
+    method (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation
+    through its last three points where that interpolant is monotone,
+    bisection elsewhere, no derivatives. It stops once the bracket is at most
+    max(tol * max(1, |hi|), 4 ulp of hi) wide, so tol = 0 means float
+    resolution, and returns the bracket midpoint, or the point itself where f
+    equals y. A target at or beyond an end returns that end. Every update is
+    elementwise, so an element's result does not depend on which other
+    elements share the call. Raises NumericError if an element is still
+    wider than its tolerance after _ROOT_STEPS steps.
     """
     y = np.asarray(y, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), y.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), y.shape).copy()
-    active = np.ones(y.shape, dtype=bool)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < y
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        if tol > 0.0:
-            active &= hi - lo > tol * np.maximum(1.0, np.abs(hi))
-            if not active.any():
-                break
-    return 0.5 * (lo + hi)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), y.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), y.shape)
+    g_lo, g_hi = f(lo) - y, f(hi) - y
+    # a is the newest point, b the other end of the bracket, c the point a
+    # replaced; g is f - y, negative below the root
+    a, b, ga, gb = lo, hi, g_lo, g_hi
+    active = (g_lo < 0.0) & (g_hi > 0.0)
+    t = np.full(y.shape, 0.5)
+    for step in range(_ROOT_STEPS + 1):
+        width = np.abs(b - a)
+        top = np.abs(np.maximum(a, b))
+        room = np.maximum(tol * np.maximum(1.0, top), 4.0 * np.spacing(top))
+        active &= (ga != 0.0) & (width > room)
+        if not active.any():
+            break
+        if step == _ROOT_STEPS:
+            worst = float(np.max(np.where(active, width / room, 0.0)))
+            raise NumericError(
+                f"root finder left a bracket {worst:.3g} times its tolerance"
+                f" after {_ROOT_STEPS} steps"
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = 0.5 * room / width
+            x = np.where(active, a + np.clip(t, edge, 1.0 - edge) * (b - a), a)
+            g = f(x) - y
+            flipped = active & ((g < 0.0) != (ga < 0.0))
+            c, gc = np.where(flipped, b, a), np.where(flipped, gb, ga)
+            b, gb = np.where(flipped, a, b), np.where(flipped, ga, gb)
+            a, ga = np.where(active, x, a), np.where(active, g, ga)
+            # the inverse quadratic through (g, x) at a, b and c is monotone
+            # between a and b exactly when these hold (Chandrupatla, eq. 1)
+            xi = (a - b) / (c - b)
+            phi = (ga - gb) / (gc - gb)
+            quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                quadratic,
+                ga / (gb - ga) * gc / (gb - gc)
+                + (c - a) / (b - a) * ga / (gc - ga) * gb / (gc - gb),
+                0.5,
+            )
+    inside = np.where(ga == 0.0, a, 0.5 * (a + b))
+    return np.where(g_lo >= 0.0, lo, np.where(g_hi <= 0.0, hi, inside))
 
 
 # _Pchip.inverse takes its first guess from a grid of this many uniform

@@ -189,10 +189,9 @@ class _StrategyTable:
         """P[s(theta) <= x]: one minus the type CDF at the inverse strategy."""
         out = np.where(x <= 0.0, 0.0, 1.0)
         inside = (x > 0.0) & (x < self.max_effort)
-        # s decreases in z, so bisect its negative
-        z = _monotone_inverse(
-            lambda z: -self.strategy(z), -x[inside], self.edges[0], self.edges[-1], steps=60
-        )
+        # s decreases in z, so invert its negative
+        lo, hi = self.edges[0], self.edges[-1]
+        z = _monotone_inverse(lambda z: -self.strategy(z), -x[inside], lo, hi)
         out[inside] = 1.0 - (z if self.in_quantiles else self.cenv._cdf(z))
         return out
 
@@ -217,10 +216,10 @@ def continuum_strategy(cenv: ContinuumEnvironment, contest: Contest, theta):
 def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
     """CDF of equilibrium effort: one minus the type CDF at the inverse strategy.
 
-    The strategy is strictly decreasing, so its inverse is recovered by one
-    vectorised bisection over the support on the strategy table, for all of
-    x at once; below zero the CDF is 0 and above the lowest type's effort it
-    is 1.
+    The strategy is strictly decreasing, so its inverse is recovered to float
+    resolution by one call of the package's root finder over the support on
+    the strategy table, for all of x at once; below zero the CDF is 0 and
+    above the lowest type's effort it is 1.
     """
     return _elementwise(
         lambda arr: _StrategyTable(cenv, contest).effort_cdf(arr), x, -np.inf, np.inf, "effort"
@@ -267,10 +266,10 @@ def convergence_report(
 
     The continuum CDF F is computed once on the whole grid: the strategy is
     tabulated as cumulative panel integrals and inverted for every grid
-    point in one vectorised bisection. For each n the continuum CDF is then
-    discretized, the finite equilibrium is solved, and its population effort
-    CDF is compared pointwise against F. Solver failures are re-raised with
-    the offending n attached. The default grid covers the effort support
+    point in one call of the root finder. For each n the continuum CDF is
+    then discretized, the finite equilibrium is solved, and its population
+    effort CDF is compared pointwise against F. Solver failures are re-raised
+    with the offending n attached. The default grid covers the effort support
     with a 5% overshoot and grid_points points. jobs is accepted for
     compatibility and ignored: each n costs milliseconds, serially.
     """

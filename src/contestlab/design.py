@@ -29,10 +29,8 @@ from .kernels import Contest
 TIE_RTOL = 1e-9
 GAP_RTOL = 1e-9
 
-# Frank-Wolfe iterations before NumericError, and bisection steps per line
-# search (the next gap test judges the point a line search reaches)
+# Frank-Wolfe iterations before NumericError
 _FW_ITERATIONS = 1000
-_LINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,7 @@ def _line_search(operator, point, direction: np.ndarray, reach: float) -> float:
     def falling(step: np.ndarray) -> np.ndarray:
         return -operator.slopes(point(step[0]), direction[None])
 
-    if falling(np.array([reach]))[0] <= 0.0:
-        return reach
-    step = _monotone_inverse(falling, np.zeros(1), 0.0, reach, steps=_LINE_STEPS, tol=1e-15)
-    return float(step[0])
+    return float(_monotone_inverse(falling, np.zeros(1), 0.0, reach, tol=1e-15)[0])
 
 
 def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):

@@ -131,8 +131,8 @@ class _EffortOperator:
     A tabulated type's inverse has second-derivative jumps where the cost
     level crosses a table knot, at win probabilities that move with the
     ladder. Its segment's panels are split there for each ladder, so every
-    panel integrates a smooth piece; the crossings come from one bisection on
-    the prize curve for all knots, segments and ladders of a call.
+    panel integrates a smooth piece; the crossings come from one root-finder
+    call on the prize curve for all knots, segments and ladders of a call.
 
     Nothing is checked per ladder: callers validate the environment once and
     pass nondecreasing ladders with v_0 = 0 and a positive top prize.
@@ -181,7 +181,7 @@ class _EffortOperator:
         # slopes has a kink there), so a bracket of 1e-10 is far below rounding
         crossings = _monotone_inverse(
             lambda ts: (ladders[:, None] @ pmf(ts))[:, 0],
-            targets, cuts[owner], cuts[owner + 1], steps=64, tol=1e-10,
+            targets, cuts[owner], cuts[owner + 1], tol=1e-10,
         )
         panels = list(self._panels)
         for k in tabulated:

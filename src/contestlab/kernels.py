@@ -266,11 +266,13 @@ def _prize_slope(contest: Contest, arr: np.ndarray) -> np.ndarray:
 def prize_expectation_inverse(contest: Contest, y):
     """Win probability t at which the expected prize equals y.
 
-    Bracketing bisection on [0, 1]; the curve is strictly increasing on (0, 1)
-    whenever the top prize is positive, and the slope may vanish at the
-    endpoints, which rules out Newton steps. Accepts a scalar or an array of
-    target values; targets within 1e-12 * max(1, top prize) outside [0, top
-    prize] are clipped to it, and farther ones raise DomainError.
+    Bracketed root finding on [0, 1] to 1e-15 in t, by interpolation that
+    needs no slope (_quad._monotone_inverse): the curve is strictly
+    increasing on (0, 1) whenever the top prize is positive, but its slope
+    may vanish at the endpoints, which rules out Newton steps. Accepts a
+    scalar or an array of target values; targets within 1e-12 * max(1, top
+    prize) outside [0, top prize] are clipped to it, and farther ones raise
+    DomainError.
     """
     if contest.degenerate:
         raise DomainError("expected prize is constant for an all-zero contest")
@@ -283,13 +285,12 @@ def prize_expectation_inverse(contest: Contest, y):
 
 
 def _prize_inverse(contest: Contest, arr: np.ndarray) -> np.ndarray:
-    """prize_expectation_inverse for targets in [0, top prize], top prize > 0."""
-    out = _monotone_inverse(
-        lambda t: _prize_curve(contest, t), arr, 0.0, 1.0, steps=64, tol=1e-15
-    )
-    out[arr == 0.0] = 0.0
-    out[arr == contest.top_prize] = 1.0
-    return out
+    """prize_expectation_inverse for targets in [0, top prize], top prize > 0.
+
+    The curve is exact at both ends, so the root finder returns 0 and 1 for
+    the targets 0 and top prize.
+    """
+    return _monotone_inverse(lambda t: _prize_curve(contest, t), arr, 0.0, 1.0, tol=1e-15)
 
 
 def type_prize_integral(env, contest: Contest, k: int) -> float:

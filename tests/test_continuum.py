@@ -106,6 +106,16 @@ class TestContinuumEffortCdf:
         values = [continuum_effort_cdf(cenv, contest, float(x)) for x in xs]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_closed_form_on_the_report_grid(self, uniform_example):
+        # the strategy inverse runs to float resolution, so the CDF meets the
+        # closed form to rounding on the 513 points of the default report grid
+        cenv, contest = uniform_example
+        xs = np.linspace(0.0, np.log(2.0), 513)
+        values = continuum_effort_cdf(cenv, contest, xs)
+        assert np.max(np.abs(values - (2.0 - 2.0 * np.exp(-xs)))) <= 1e-14
+        top = convergence_report(cenv, contest, [4]).max_effort
+        assert abs(top - np.log(2.0)) <= 1e-15
+
 
 class TestDistributionFamilies:
     def test_power_family_quantile_roundtrip(self):

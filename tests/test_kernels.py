@@ -338,6 +338,41 @@ class TestPrizeExpectationInverse:
         with pytest.raises(DomainError):
             prize_expectation_inverse(Contest((0.0, 0.0)), 0.0)
 
+    @pytest.mark.parametrize(
+        "prizes",
+        [
+            [m / 200 for m in range(201)],
+            [(m / 200) ** 2 for m in range(201)],
+            [0.0] * 191 + [0.1] * 10,
+            [0.0] * 200 + [1.0],
+        ],
+        ids=["linear", "quadratic", "top_10", "winner_takes_all"],
+    )
+    def test_a_third_of_the_bisection_steps_at_n_200(self, prizes, monkeypatch):
+        # bisection takes 50 steps to bring [0, 1] down to 1e-15; the
+        # interpolating root finder calls the curve at most 17 times, its two
+        # end evaluations included, on targets spread in prize and in t
+        import contestlab.kernels as kernels
+
+        contest = Contest(tuple(prizes))
+        curve = kernels._prize_curve
+        ys = np.concatenate(
+            (
+                np.linspace(0.0, contest.top_prize, 65)[1:-1],
+                curve(contest, np.linspace(0.0, 1.0, 65)[1:-1]),
+            )
+        )
+        calls = []
+
+        def counted(contest, t):
+            calls.append(t.size)
+            return curve(contest, t)
+
+        monkeypatch.setattr(kernels, "_prize_curve", counted)
+        ts = kernels._prize_inverse(contest, ys.copy())
+        assert len(calls) <= 17
+        np.testing.assert_allclose(curve(contest, ts), ys, rtol=0.0, atol=1e-13)
+
 
 class TestTypePrizeIntegral:
     def test_single_type_full_integral(self, single_type_env, top_prize_contest):
