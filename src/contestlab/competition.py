@@ -5,11 +5,12 @@ better rank m. Under linear costs the effect on expected effort is the
 coefficient difference alpha_m - alpha_{m'}; in general it also shifts the
 information rents of the more efficient types. At a concrete contest, for any
 type space, competition_effect_numeric gives the effect as the exact
-directional derivative of the fixed-node effort operator that the budget
-search also uses. The classifier implements the sufficient conditions under
-which the linear-cost sign extends to concave or convex bases: the transfer
-must not raise the top type's utility (or must target the best rank), which
-makes the pointwise cost-space weight profile single-crossing.
+derivative along the transfer, read off the gradient of the fixed-node effort
+operator that the budget search also uses. The classifier implements the
+sufficient conditions under which the linear-cost sign extends to concave or
+convex bases: the transfer must not raise the top type's utility (or must
+target the best rank), which makes the pointwise cost-space weight profile
+single-crossing.
 """
 
 from __future__ import annotations
@@ -133,11 +134,11 @@ def competition_effect_numeric(
 ) -> float:
     """Effect of the transfer on expected effort: its derivative along e_m - e_{m'}.
 
-    One exact directional derivative of the fixed-node effort operator (see
-    _EffortOperator.slopes), after one solve at contest validates env and the
-    pair. A contest on the monotone boundary in one direction gets the same
-    derivative; one where the transfer breaks prize monotonicity in both
-    directions raises ArgumentError, since there the derivative can be
+    g_m - g_{m'} for the exact gradient g of the fixed-node effort operator
+    (see _EffortOperator.gradient), after one solve at contest validates env
+    and the pair. A contest on the monotone boundary in one direction gets
+    the same derivative; one where the transfer breaks prize monotonicity in
+    both directions raises ArgumentError, since there the derivative can be
     infinite.
     """
     _check_query(env, query)
@@ -152,9 +153,8 @@ def competition_effect_numeric(
             "monotonicity in both directions at this contest"
         )
     solve(env, contest)
-    direction = np.zeros(n + 1)
-    direction[m], direction[mp] = 1.0, -1.0
-    return float(_EffortOperator(env).slopes(np.asarray(v), direction[None])[0])
+    gradient = _EffortOperator(env).gradient(np.asarray(v))
+    return float(gradient[m] - gradient[mp])
 
 
 def binary_transfer_sign(env: ContestEnvironment, m: int) -> TransferSign:

@@ -260,7 +260,6 @@ def convergence_report(
     n_list,
     x_grid=None,
     grid_points: int = 513,
-    jobs: int = 1,
 ) -> ConvergenceReport:
     """Measure sup |F_n - F| over x_grid for each atom count in n_list.
 
@@ -270,8 +269,7 @@ def convergence_report(
     then discretized, the finite equilibrium is solved, and its population
     effort CDF is compared pointwise against F. Solver failures are re-raised
     with the offending n attached. The default grid covers the effort support
-    with a 5% overshoot and grid_points points. jobs is accepted for
-    compatibility and ignored: each n costs milliseconds, serially.
+    with a 5% overshoot and grid_points points.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):

@@ -3,9 +3,9 @@
 The feasible set is all nondecreasing ladders with v_0 = 0 and total at most
 V. Its extreme points are the zero ladder and, for each j, the ladder paying
 V/(N-j+1) to each of the top N-j+1 ranks. Mode "vertex" scores them all;
-"vertex_plus_search" then runs away-step Frank-Wolfe (Jaggi, ICML 2013;
+"vertex_plus_search" then runs pairwise Frank-Wolfe (Jaggi, ICML 2013;
 Lacoste-Julien & Jaggi, NeurIPS 2015) over the full-budget face from the best
-vertex, on exact directional derivatives of the fixed-node effort operator.
+vertex, on the exact gradient of the fixed-node effort operator.
 In a parametric type space the cost level is affine in the prizes, so effort
 is convex in them under a linear or concave base (the best vertex is optimal:
 gap <= 0, zero iterations) and concave under a convex base, where the duality
@@ -96,20 +96,13 @@ def _objective(env: ContestEnvironment, contest: Contest) -> float:
     return 0.0 if contest.degenerate else expected_effort(env, contest, solve(env, contest))
 
 
-def _line_search(operator, point, direction: np.ndarray, reach: float) -> float:
-    """Step in [0, reach] where the derivative along direction at point(step) is 0, or reach."""
-
-    def falling(step: np.ndarray) -> np.ndarray:
-        return -operator.slopes(point(step[0]), direction[None])
-
-    return float(_monotone_inverse(falling, np.zeros(1), 0.0, reach, tol=1e-15)[0])
-
-
 def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
-    """Away-step Frank-Wolfe over the full-budget face, from its best vertex in scored.
+    """Pairwise Frank-Wolfe over the full-budget face, from its best vertex in scored.
 
     Works in weights w over the N full-budget vertices, whose solves validated
-    env. Returns the ladder as a contest, its gap and the derivative count.
+    env. Each step moves weight from the active vertex with the lowest slope
+    to the vertex with the highest (Lacoste-Julien & Jaggi, NeurIPS 2015, sec.
+    3). Returns the ladder as a contest, its gap and the gradient count.
     """
     operator = _EffortOperator(env)
     corners = np.array([contest.prizes for contest, _ in scored[1:]])
@@ -123,25 +116,24 @@ def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
     tol = GAP_RTOL * budget
     for iteration in range(_FW_ITERATIONS + 1):
         x = ladder(weights)
-        slopes = operator.slopes(x, corners - x)
+        slopes = (corners - x) @ operator.gradient(x)
         toward = int(np.argmax(slopes))
         gap = float(slopes[toward])
         if gap <= tol:
-            return Contest(tuple(x.tolist())), gap, operator.derivatives
+            return Contest(tuple(x.tolist())), gap, operator.gradients
         if iteration == _FW_ITERATIONS:
             raise NumericError(f"Frank-Wolfe stopped at its iteration cap with gap {gap:.3g}")
+        # the weighted mean of slopes is 0 < gap, so away != toward
         active = np.flatnonzero(weights > 0.0)
         away = int(active[np.argmin(slopes[active])])
-        away_step = -slopes[away] > gap and weights[away] < 1.0
-        if away_step:
-            move, reach = weights - np.eye(n)[away], weights[away] / (1.0 - weights[away])
-        else:
-            move, reach = np.eye(n)[toward] - weights, 1.0
-        step = _line_search(operator, lambda s: ladder(weights + s * move), move @ corners, reach)
-        weights += step * move
-        if away_step and step == reach:
-            weights[away] = 0.0  # a drop step; a leftover of 1e-15 would stall the loop
-        weights = np.maximum(weights, 0.0) / np.maximum(weights, 0.0).sum()
+        move, direction = np.eye(n)[toward] - np.eye(n)[away], corners[toward] - corners[away]
+
+        def falling(step: np.ndarray) -> np.ndarray:
+            return -direction @ operator.gradient(ladder(weights + step[0] * move))
+
+        step = _monotone_inverse(falling, np.zeros(1), 0.0, weights[away], tol=1e-15)[0]
+        # at step == weights[away] this drops the away vertex: its weight becomes exactly 0
+        weights = weights + step * move
 
 
 def optimize_budget(
@@ -149,18 +141,17 @@ def optimize_budget(
     budget: float,
     mode: str = "vertex",
     seed: int | None = 0,
-    jobs: int = 1,
 ) -> BudgetSolution:
     """Allocate a prize budget to maximize expected equilibrium effort.
 
     mode "vertex" scores the N+1 extreme points, exact when effort is convex in
-    the prizes. "vertex_plus_search" adds the ladder where away-step
+    the prizes. "vertex_plus_search" adds the ladder where pairwise
     Frank-Wolfe's duality gap falls to 1e-9 of the budget, and raises
     NumericError if _FW_ITERATIONS iterations do not get there. gap is that
     duality gap (None in mode "vertex"): an optimality certificate under a
     convex parametric base, a stationarity one elsewhere. evaluations counts
-    expected_effort calls and directional derivatives. seed (None or a
-    nonnegative integer) is validated and echoed but ignored, as is jobs.
+    expected_effort calls and gradients of the effort operator. seed (None or
+    a nonnegative integer) is validated and echoed but ignored.
     Ties within 1e-9 of the best value per unit budget are reported.
     """
     if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):

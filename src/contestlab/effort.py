@@ -153,7 +153,7 @@ class _EffortOperator:
             tabulated = cf.kind == TABULATED
             self._panels.append(None if tabulated else (_pmf_rows(env.n_others, nodes), weights))
         self._cut_pmf = _pmf_rows(env.n_others, np.asarray(cuts))
-        self.derivatives = 0  # directional derivatives taken by slopes
+        self.gradients = 0  # gradients taken
 
     def _segment_panels(self, ladders: np.ndarray, pis: np.ndarray, utilities: np.ndarray):
         """pmf at the nodes and weights of each segment, for a (batch, N+1) array of ladders.
@@ -178,7 +178,7 @@ class _EffortOperator:
             return _pmf_rows(n, ts.ravel()).reshape(n + 1, *ts.shape).transpose(1, 0, 2)
 
         # a crossing off by d moves the node sum by about d^2 (the integrand of
-        # slopes has a kink there), so a bracket of 1e-10 is far below rounding
+        # the gradient has a kink there), so a bracket of 1e-10 is far below rounding
         crossings = _monotone_inverse(
             lambda ts: (ladders[:, None] @ pmf(ts))[:, 0],
             targets, cuts[owner], cuts[owner + 1], tol=1e-10,
@@ -205,34 +205,38 @@ class _EffortOperator:
             total += (cf._inverse(levels.ravel()).reshape(levels.shape) * weights).sum(axis=1)
         return total
 
-    def slopes(self, ladder: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """Derivative of the fixed-node effort at one ladder along each row of directions.
+    def gradient(self, ladder: np.ndarray) -> np.ndarray:
+        """Gradient of the fixed-node effort at one ladder, as an (N+1)-vector.
 
         Exact for the node sum: through 1 / c'(c^-1(level)) at every node (a
         node whose marginal cost is 0 or underflows adds nothing) and through
-        the utilities of solve's recursion. A tabulated segment's split points
-        are held where they are; moving them changes the sum only by its
-        quadrature error. Directions keep v_0 = 0.
+        the utilities of solve's recursion, whose derivatives are taken with
+        respect to the prize curve at each cut P_j and then pulled back to the
+        prizes (an adjoint pass). A tabulated segment's split points are held
+        where they are; moving them changes the sum only by its quadrature
+        error. The derivative along a direction that keeps v_0 = 0 is its dot
+        product with the gradient.
         """
-        pis, d_pis = ladder @ self._cut_pmf, directions @ self._cut_pmf
-        self.derivatives += directions.shape[0]
+        pis, d_pis = ladder @ self._cut_pmf, np.eye(self.env.n_types + 1)
+        self.gradients += 1
         utilities = np.zeros(self.env.n_types)  # u_1 = 0 and, as v_0 = 0, so is its derivative
-        d_utilities = np.zeros((directions.shape[0], self.env.n_types))
+        d_utilities = np.zeros((self.env.n_types + 1, self.env.n_types))
         for k, cf in enumerate(self.env.types):
             if k > 0:  # skips c'(b_0 = 0), infinite under a power base below 1
                 utilities[k] = pis[k] - cf._evaluate(boundary)[0]
                 d_utilities[:, k] = d_pis[:, k] - cf._slope(boundary) * d_boundary
             boundary = cf._inverse(np.maximum(pis[k + 1 : k + 2] - utilities[k], 0.0))
             d_boundary = (d_pis[:, k + 1] - d_utilities[:, k]) / cf._slope(boundary)
-        total = np.zeros(directions.shape[0])
+        total, mass = np.zeros(ladder.size), np.zeros(self.env.n_types)
         panels = self._segment_panels(ladder[None], pis[None], utilities[None])
         for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
             if pmf.ndim == 3:  # a tabulated segment, split for this ladder
                 pmf, weights = pmf[0], weights[0]
             rates = cf._slope(cf._inverse(np.maximum(ladder @ pmf - utilities[k], 0.0)))
             scaled = np.divide(weights, rates, out=np.zeros_like(rates), where=rates > 0)
-            total += (directions @ pmf) @ scaled - d_utilities[:, k] * scaled.sum()
-        return total
+            total += pmf @ scaled
+            mass[k] = scaled.sum()
+        return total - self._cut_pmf @ (d_utilities @ mass)
 
 
 def alpha_coefficients(env: ContestEnvironment, cost_space: bool = False) -> AlphaVector:

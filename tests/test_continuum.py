@@ -242,12 +242,6 @@ class TestConvergence:
         gaps = [gap for _, gap in report.entries]
         assert gaps[-1] < gaps[0]
 
-    def test_jobs_do_not_change_gaps(self, uniform_example):
-        cenv, contest = uniform_example
-        serial = convergence_report(cenv, contest, [4, 16], grid_points=65)
-        threaded = convergence_report(cenv, contest, [4, 16], grid_points=65, jobs=2)
-        assert serial.entries == threaded.entries
-
     def test_rejects_unordered_n_list(self, uniform_example):
         cenv, contest = uniform_example
         with pytest.raises(ArgumentError):
