@@ -142,12 +142,12 @@ class _StrategyTable:
     h(t) = pi'(1 - G(t)) g(t) / t. The support is cut into fixed panels:
     _PANELS uniform ones per segment (tabulated CDFs end segments at their
     knots, where the density kinks) and _GRADED geometric ones refining the
-    lowest panel toward theta_lo. Each panel is integrated once by adaptive
-    quadrature and reverse cumulative sums give the tail beyond every edge,
-    so s at any theta is the tail beyond its panel plus one Gauss panel from
-    theta to the panel's right edge. Power shapes below 1 integrate in the
-    quantile variable q = G(t) instead, which cancels the density's
-    singularity at theta_lo: h dt = pi'(1 - q) / Q(q) dq.
+    lowest panel toward theta_lo. One batched adaptive call integrates them
+    and reverse cumulative sums give the tail beyond every edge, so s at any
+    theta is the tail beyond its panel plus one Gauss panel from theta to the
+    panel's right edge; effort_cdf brackets each effort in its table panel.
+    Power shapes below 1 integrate in the quantile variable q = G(t),
+    cancelling the density's singularity at theta_lo: h dt = pi'(1-q)/Q(q) dq.
     """
 
     def __init__(self, cenv: ContinuumEnvironment, contest: Contest):
@@ -167,9 +167,7 @@ class _StrategyTable:
         graded = uniform[0] + (uniform[1] - uniform[0]) * np.exp2(-np.arange(_GRADED, 0, -1))
         self.edges = np.concatenate((uniform[:1], graded, uniform[1:]))
         tol = 1e-11 / (self.edges.size - 1)
-        pieces = [
-            adaptive(self._integrand, a, b, tol=tol) for a, b in zip(self.edges, self.edges[1:])
-        ]
+        pieces = adaptive(self._integrand, self.edges[:-1], self.edges[1:], tol=tol)
         self.tail = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
         self.max_effort = float(self.strategy(self.edges[:1])[0])
 
@@ -186,11 +184,13 @@ class _StrategyTable:
         return self.tail[j + 1] + gauss_panels(self._integrand, z, self.edges[j + 1])
 
     def effort_cdf(self, x: np.ndarray) -> np.ndarray:
-        """P[s(theta) <= x]: one minus the type CDF at the inverse strategy."""
+        """P[s(theta) <= x]: one minus the type CDF at the inverse strategy,
+        each x bracketed in its table panel, the j with tail[j] > x >= tail[j+1]."""
         out = np.where(x <= 0.0, 0.0, 1.0)
         inside = (x > 0.0) & (x < self.max_effort)
+        j = np.clip(np.searchsorted(-self.tail, -x[inside]) - 1, 0, self.edges.size - 2)
+        lo, hi = self.edges[j], self.edges[j + 1]
         # s decreases in z, so invert its negative
-        lo, hi = self.edges[0], self.edges[-1]
         z = _monotone_inverse(lambda z: -self.strategy(z), -x[inside], lo, hi)
         out[inside] = 1.0 - (z if self.in_quantiles else self.cenv._cdf(z))
         return out
@@ -217,9 +217,9 @@ def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
     """CDF of equilibrium effort: one minus the type CDF at the inverse strategy.
 
     The strategy is strictly decreasing, so its inverse is recovered to float
-    resolution by one call of the package's root finder over the support on
-    the strategy table, for all of x at once; below zero the CDF is 0 and
-    above the lowest type's effort it is 1.
+    resolution by one call of the package's root finder on the strategy
+    table, for all of x at once, each x bracketed in its table panel; below
+    zero the CDF is 0 and above the lowest type's effort it is 1.
     """
     return _elementwise(
         lambda arr: _StrategyTable(cenv, contest).effort_cdf(arr), x, -np.inf, np.inf, "effort"
@@ -265,11 +265,11 @@ def convergence_report(
 
     The continuum CDF F is computed once on the whole grid: the strategy is
     tabulated as cumulative panel integrals and inverted for every grid
-    point in one call of the root finder. For each n the continuum CDF is
-    then discretized, the finite equilibrium is solved, and its population
-    effort CDF is compared pointwise against F. Solver failures are re-raised
-    with the offending n attached. The default grid covers the effort support
-    with a 5% overshoot and grid_points points.
+    point in one call of the root finder, bracketed in its table panel. For
+    each n the continuum CDF is then discretized, the finite equilibrium is
+    solved, and its population effort CDF is compared pointwise against F.
+    Solver failures are re-raised with the offending n attached. The default
+    grid covers the effort support with a 5% overshoot and grid_points points.
     """
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):

@@ -116,7 +116,8 @@ def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
     tol = GAP_RTOL * budget
     for iteration in range(_FW_ITERATIONS + 1):
         x = ladder(weights)
-        slopes = (corners - x) @ operator.gradient(x)
+        g = operator.gradient(x)
+        slopes = (corners - x) @ g
         toward = int(np.argmax(slopes))
         gap = float(slopes[toward])
         if gap <= tol:
@@ -128,8 +129,9 @@ def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
         away = int(active[np.argmin(slopes[active])])
         move, direction = np.eye(n)[toward] - np.eye(n)[away], corners[toward] - corners[away]
 
-        def falling(step: np.ndarray) -> np.ndarray:
-            return -direction @ operator.gradient(ladder(weights + step[0] * move))
+        def falling(step: np.ndarray) -> np.ndarray:  # step 0 is x, whose gradient is g
+            at = g if step[0] == 0.0 else operator.gradient(ladder(weights + step[0] * move))
+            return -direction @ at
 
         step = _monotone_inverse(falling, np.zeros(1), 0.0, weights[away], tol=1e-15)[0]
         # at step == weights[away] this drops the away vertex: its weight becomes exactly 0

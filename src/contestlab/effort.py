@@ -65,9 +65,9 @@ def expected_effort(
     """Expected effort of an arbitrary agent, integrated segment by segment.
 
     Each segment [P_{k-1}, P_k] uses a 64-node Gauss-Legendre panel with
-    adaptive bisection when two refinement levels disagree beyond tol;
-    integrating across the kinks at P_k would degrade convergence, so they are
-    always panel endpoints.
+    adaptive bisection, one integrand call per level, where two refinement
+    levels disagree beyond tol; integrating across the kinks at P_k would
+    degrade convergence, so they are always panel endpoints.
     """
     _check_solved(env, contest, eqm)
     _check_tol(tol)

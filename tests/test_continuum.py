@@ -18,7 +18,7 @@ from contestlab import (
     solve,
     validate_environment,
 )
-from contestlab._quad import _PANEL_BLOCK, adaptive, gauss_panels
+from contestlab._quad import _PANEL_BLOCK, gauss_panels
 
 
 @pytest.fixture
@@ -274,24 +274,25 @@ class TestFiniteContinuumAgreement:
             )
 
 
-def _adaptive_strategy(cenv, contest, theta):
-    """Reference strategy: one adaptive quadrature over [theta, hi], split at knots."""
+def _quad_strategy(cenv, contest, theta):
+    """Reference strategy: scipy's quad over [theta, hi], split at knots."""
 
-    def integrand(ts):
-        win = 1.0 - np.clip(cenv.cdf(ts), 0.0, 1.0)
-        return prize_expectation_derivative(contest, win) * cenv.pdf(ts) / ts
+    def integrand(t):
+        win = 1.0 - min(max(cenv.cdf(t), 0.0), 1.0)
+        return prize_expectation_derivative(contest, win) * cenv.pdf(t) / t
 
     pieces = {theta, cenv.theta_hi}
     if cenv.family == "tabulated":
         pieces |= {knot for knot, _ in cenv.points if theta < knot < cenv.theta_hi}
     pieces = sorted(pieces)
-    tol = 1e-11 / max(len(pieces) - 1, 1)
-    return sum(adaptive(integrand, a, b, tol=tol) for a, b in zip(pieces, pieces[1:]))
+    return sum(
+        quad(integrand, a, b, epsabs=1e-13, epsrel=1e-13)[0] for a, b in zip(pieces, pieces[1:])
+    )
 
 
 def _bisected_effort_cdf(cenv, contest, x):
     """Reference effort CDF: 60 bisection steps on theta, one quadrature per step."""
-    upper = _adaptive_strategy(cenv, contest, cenv.theta_lo)
+    upper = _quad_strategy(cenv, contest, cenv.theta_lo)
     if x <= 0.0:
         return 0.0
     if x >= upper:
@@ -299,7 +300,7 @@ def _bisected_effort_cdf(cenv, contest, x):
     lo, hi = cenv.theta_lo, cenv.theta_hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _adaptive_strategy(cenv, contest, mid) > x:
+        if _quad_strategy(cenv, contest, mid) > x:
             lo = mid
         else:
             hi = mid
@@ -320,7 +321,7 @@ class TestTableAgainstPerTypeQuadrature:
     def test_strategy_cdf_and_gaps_agree(self, family):
         cenv, contest = self.FAMILIES[family], self.CONTEST
         thetas = np.linspace(cenv.theta_lo, cenv.theta_hi, 9)
-        expected = [_adaptive_strategy(cenv, contest, float(t)) for t in thetas]
+        expected = [_quad_strategy(cenv, contest, float(t)) for t in thetas]
         np.testing.assert_allclose(
             continuum_strategy(cenv, contest, thetas), expected, rtol=0.0, atol=1e-10
         )

@@ -223,6 +223,42 @@ class TestFrankWolfe:
         value = operator(np.array([contest.prizes]))[0]
         assert np.all(value >= others - gap)
 
+    def test_line_search_reuses_the_iteration_gradient(self, monkeypatch):
+        # the N-ladder env at N=20, where solve takes every vertex
+        env = ContestEnvironment(
+            20, tuple(CostFunction.power(t, 2.0) for t in (2.0, 1.5, 1.0)), (0.3, 0.3, 0.4)
+        )
+        real_gradient, real_inverse = _EffortOperator.gradient, design._monotone_inverse
+        taken = []  # (operator, ladder, gradient) for each gradient taken
+        steps = []  # (step, gradients taken) for each line-search evaluation
+
+        def gradient(self, ladder):
+            taken.append((self, ladder.copy(), real_gradient(self, ladder)))
+            return taken[-1][2]
+
+        def inverse(f, y, lo, hi, tol=0.0):
+            def counted(step):
+                before = len(taken)
+                value = f(step)
+                steps.append((step[0], len(taken) - before))
+                return value
+
+            return real_inverse(counted, y, lo, hi, tol)
+
+        monkeypatch.setattr(_EffortOperator, "gradient", gradient)
+        monkeypatch.setattr(design, "_monotone_inverse", inverse)
+        solution = optimize_budget(env, 1.0, mode="vertex_plus_search")
+        searches = sum(step == 0.0 for step, _ in steps)
+        assert searches > 10
+        # each search starts at step 0 without a gradient; every other step takes one
+        assert all(used == int(step != 0.0) for step, used in steps)
+        # N+1 vertices, the gradients, the returned ladder: one gradient per
+        # search fewer than a search that re-takes the gradient at step 0
+        assert solution.evaluations == 21 + len(taken) + 1
+        # a re-taken gradient would be bit-identical, so the path is unchanged
+        for operator, ladder, g in taken:
+            assert real_gradient(operator, ladder).tobytes() == g.tobytes()
+
     def test_mixed_powers_reach_a_stationary_point(self):
         env = ContestEnvironment(
             3, (CostFunction.power(3.0, 2.0), CostFunction.power(1.0, 2.5)), (0.5, 0.5)
