@@ -145,13 +145,21 @@ def type_index(env: ContestEnvironment, t: float) -> int:
     return min(k, env.n_types)
 
 
+def _by_type(seg: np.ndarray, values: np.ndarray, f) -> np.ndarray:
+    """f(k, values[seg == k]) for each type k in seg, put back in seg's order."""
+    out = np.empty_like(values)
+    for k in np.flatnonzero(np.bincount(seg)):
+        mask = seg == k
+        out[mask] = f(k, values[mask])
+    return out
+
+
 def _mixing_cdf(eqm: Equilibrium, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
     """F_k(x) at each point x under its own type k = seg, in one prize-curve inversion."""
     env = eqm.env
-    levels = np.empty_like(x)
-    for k in np.unique(seg):
-        mask = seg == k
-        levels[mask] = env.types[k - 1]._evaluate(x[mask]) + eqm.utilities[k - 1]
+    levels = _by_type(
+        seg, x, lambda k, part: env.types[k - 1]._evaluate(part) + eqm.utilities[k - 1]
+    )
     # cost levels beyond the top prize clamp to certainty of winning:
     # off-support and perturbed queries are legitimate probes here
     ts = _prize_inverse(eqm.contest, np.clip(levels, 0.0, eqm.contest.top_prize))
@@ -210,12 +218,19 @@ def sample(eqm: Equilibrium, k: int, unit_draw):
     supplies the unit draw.
     """
     eqm.env.type_at(k)  # rejects an out-of-range k
-    return _elementwise(lambda arr: _draw(eqm, k, arr), unit_draw, 0.0, 1.0, "unit draw")
+    return _elementwise(
+        lambda arr: _draw(eqm, np.full(arr.size, k), arr), unit_draw, 0.0, 1.0, "unit draw"
+    )
 
 
-def _draw(eqm: Equilibrium, k: int, arr: np.ndarray) -> np.ndarray:
-    """sample without argument checks, for unit draws known to lie in [0, 1]."""
+def _draw(eqm: Equilibrium, seg: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """sample without argument checks, for unit draws known to lie in [0, 1].
+
+    Each draw is taken under its own type seg, so one call serves a batch that
+    mixes types.
+    """
     env = eqm.env
-    ts = env.cumulative[k - 1] + env.probs[k - 1] * arr
-    levels = _prize_curve(eqm.contest, ts) - eqm.utilities[k - 1]
-    return env.types[k - 1]._inverse(np.maximum(levels, 0.0))
+    ts = np.asarray(env.cumulative)[seg - 1] + np.asarray(env.probs)[seg - 1] * arr
+    levels = _prize_curve(eqm.contest, ts) - np.asarray(eqm.utilities)[seg - 1]
+    np.maximum(levels, 0.0, out=levels)
+    return _by_type(seg, levels, lambda k, part: env.types[k - 1]._inverse(part))

@@ -9,7 +9,8 @@ object every other module is built on.
 
 That curve and its slope are polynomials in Bernstein form with
 nonnegative coefficients (prizes and prize gaps). _ladder_dot sums them by
-Horner's rule up to N = _HORNER_MAX_N and as pmf rows above it. _pmf_rows
+Horner's rule up to N = _HORNER_MAX_N, each point in the one coefficient
+order of its side of 1/2, and as pmf rows above it. _pmf_rows
 stays the one binomial kernel for the pmf and its tails, the alpha
 coefficients, the competition effects and the effort operator's matrices.
 
@@ -184,11 +185,12 @@ def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
     / q <= 1, q = max(t, 1-t), with the coefficients in order for t <= 1/2
     and reversed above. Horner's rule runs in two levels, within blocks of
     about sqrt(n/2) powers and then over the blocks in s^width, so a call
-    makes O(sqrt(n)) numpy calls however few its points. Both orders are
-    summed for every point, and a masked copy keeps the one for its side of
-    1/2. Every step is elementwise, so a point's value does not depend on
-    the others in the call. Nonnegative coefficients keep the sum well
-    conditioned (Farouki & Rajan, CAGD 1987); the rounding of 1 - t adds up
+    makes O(sqrt(n)) numpy calls however few its points. Each point is
+    summed in the order for its side of 1/2 only (see _horner for the
+    layout). Every step is elementwise, so a point's value does not depend
+    on the others in the call or on where it sits among them. Nonnegative
+    coefficients keep either order well conditioned on its own side
+    (Farouki & Rajan, CAGD 1987); the rounding of 1 - t adds up
     to n * 2^-54 relative error. The coefficients are divided by the
     smallest power of two, at least 1, that keeps every partial sum below
     2^1020: it is 1 for weights below 2^(1020-n), so t = 0 and t = 1 give
@@ -211,33 +213,73 @@ def _ladder_dot(weights: np.ndarray, n: int, arr: np.ndarray) -> np.ndarray:
 
 
 def _blockwise(f, arr: np.ndarray, step: int) -> np.ndarray:
-    """f over arr, step points at a time."""
+    """f over arr, step points at a time, each block written into one output.
+
+    Concatenating a list of the blocks' results instead took two to three
+    times as long on 2*10^5 ascending points at n = 2, nearly all of it in
+    memory allocation: with glibc's mmap and trim thresholds raised, the
+    gap nearly closed (2.5 against 2.0 ms).
+    """
     if arr.size <= step:
         return f(arr)
-    return np.concatenate([f(arr[i : i + step]) for i in range(0, arr.size, step)])
+    out = np.empty(arr.size)
+    for i in range(0, arr.size, step):
+        out[i : i + step] = f(arr[i : i + step])
+    return out
 
 
 def _horner(coefs: np.ndarray, width: int, n: int, scale: float, t: np.ndarray) -> np.ndarray:
-    """One block of _ladder_dot below the cutoff, for coefficients in _horner_plan's layout."""
-    rest = 1.0 - t
-    q = np.maximum(t, rest)
-    s = np.empty((2, t.size))  # one row per order: the products then broadcast less
-    s[:] = np.minimum(t, rest) / q
-    inner = np.empty((coefs.shape[1], 2, t.size))
-    inner[...] = coefs[-1]
-    for col in coefs[-2::-1]:
-        inner *= s
-        inner += col
+    """One block of _ladder_dot below the cutoff, for coefficients in _horner_plan's layout.
+
+    Each point is summed in the coefficient order for its side of 1/2 only.
+    At width 1 every block is one power, and each point picks that power's
+    coefficient for its side. Wider blocks lay their points out in rows of
+    one side each. A one-sided block is one row as it lies. Any other block
+    is permuted into a row of its points at or below 1/2 and a row of those
+    above, the shorter row padded with t = 0, and the sums are scattered
+    back. Each Horner step is then one numpy call on contiguous rows. A
+    single point takes the two-row layout too: numpy's in-place ufuncs are
+    slower on one-element arrays.
+    """
+    upper = t > 0.5
+    high = int(np.count_nonzero(upper))
+    low = t.size - high
+    order = None
+    if width == 1:
+        u = t
+        inner = np.where(upper, coefs[0, :, 1], coefs[0, :, 0])
+    elif t.size > 1 and high in (0, t.size):
+        side = int(high > 0)
+        u, coefs = t[None], coefs[:, :, side : side + 1]
+    else:
+        order = np.argsort(upper, kind="stable")
+        u = np.zeros((2, max(low, high)))
+        u[0, :low] = t[order[:low]]
+        u[1, :high] = t[order[low:]]
+    rest = 1.0 - u
+    q = np.maximum(u, rest)
+    s = np.minimum(u, rest, out=rest)
+    s /= q
     if width > 1:
+        inner = np.empty((coefs.shape[1], *u.shape))
+        inner[...] = coefs[-1]
+        for col in coefs[-2::-1]:
+            inner *= s
+            inner += col
         s **= width
     acc = inner[-1]
     for row in inner[-2::-1]:
         acc *= s
         acc += row
-    np.copyto(acc[1], acc[0], where=t <= 0.5)
     q **= n
     q *= scale
-    return acc[1] * q
+    acc *= q
+    if order is None:
+        return acc.reshape(t.size)
+    out = np.empty(t.size)
+    out[order[:low]] = acc[0, :low]
+    out[order[low:]] = acc[1, :high]
+    return out
 
 
 def prize_expectation(contest: Contest, t):

@@ -15,7 +15,7 @@ import numpy as np
 from .costs import ContestEnvironment
 from .equilibrium import Equilibrium, _draw, exante_cdf
 from .errors import ArgumentError
-from .kernels import Contest, _prize_curve
+from .kernels import _HORNER_BLOCK, Contest, _prize_curve
 
 _MC_CHUNK = 1 << 17
 
@@ -53,6 +53,53 @@ class VerificationReport:
         return max(row.gap for row in self.gaps)
 
 
+def _check_count(name: str, value, least: int, shown: str) -> None:
+    """ArgumentError unless value is an integer, not a bool, and at least least.
+
+    shown is how least reads in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ArgumentError(f"{name} must be at least {shown}, got {value!r}")
+
+
+def _sweeps(
+    env: ContestEnvironment, contest: Contest, eqm: Equilibrium, ks, grid_size: int
+) -> tuple[BestResponseReport, ...]:
+    """best_response_gap for each type in ks, from one prize-curve evaluation.
+
+    Type k's grid is the shared grid plus b_{k-1} and b_k. The prize term is
+    evaluated once, on the shared grid plus the boundaries of every type in
+    ks, and each type reads its own points from it; a point's value does not
+    depend on the others in the call, so each row is what a sweep of its own
+    grid gives.
+    """
+    _check_count("grid_size", grid_size, 100, "100")
+    boundaries = np.asarray(eqm.boundaries)
+    grid = np.linspace(0.0, 1.5 * eqm.max_effort, grid_size)
+    points = np.union1d(grid, boundaries[sorted({j for k in ks for j in (k - 1, k)})])
+    prize = _prize_curve(contest, exante_cdf(eqm, points))
+    rows = []
+    for k in ks:
+        b_lo, b_hi = boundaries[k - 1], boundaries[k]
+        xs = np.union1d(grid, np.array([b_lo, b_hi]))
+        payoff = prize[np.searchsorted(points, xs)] - env.types[k - 1]._evaluate(xs)
+        advantage = payoff - eqm.utilities[k - 1]
+        arg = int(np.argmax(advantage))
+        support = (xs >= b_lo) & (xs <= b_hi)
+        rows.append(
+            BestResponseReport(
+                type_index=k,
+                gap=float(advantage[arg]),
+                argmax_effort=float(xs[arg]),
+                on_support_residual=float(np.max(np.abs(advantage[support]))),
+                grid_size=int(xs.size),
+            )
+        )
+    return tuple(rows)
+
+
 def best_response_gap(
     env: ContestEnvironment,
     contest: Contest,
@@ -64,37 +111,15 @@ def best_response_gap(
 
     The payoff of effort x against the equilibrium is the expected prize at
     the population CDF of x minus the type's cost. The grid spans
-    [0, 1.5 * b_K]: beyond the top boundary the prize is capped at the top
-    rank, so payoffs only fall further and probing farther adds nothing.
-    Returns the maximum payoff advantage over the equilibrium utility (should
-    be nonpositive up to numerics) and the worst indifference residual on the
-    type's own interval.
+    [0, 1.5 * b_K] plus the type's boundaries b_{k-1} and b_k: beyond the
+    top boundary the prize is capped at the top rank, so payoffs only fall
+    further and probing farther adds nothing. Returns the maximum payoff
+    advantage over the equilibrium utility (should be nonpositive up to
+    numerics) and the worst indifference residual on the type's own
+    interval. grid_size must be an integer of at least 100.
     """
-    if grid_size < 100:
-        raise ArgumentError(f"grid_size must be at least 100, got {grid_size!r}")
     env.type_at(k)
-    cf = env.types[k - 1]
-    u_k = eqm.utilities[k - 1]
-    b_lo, b_hi = eqm.boundaries[k - 1], eqm.boundaries[k]
-
-    xs = np.union1d(
-        np.linspace(0.0, 1.5 * eqm.max_effort, grid_size),
-        np.array([b_lo, b_hi]),
-    )
-    payoff = _prize_curve(contest, exante_cdf(eqm, xs)) - cf._evaluate(xs)
-    advantage = payoff - u_k
-    arg = int(np.argmax(advantage))
-
-    support = (xs >= b_lo) & (xs <= b_hi)
-    residual = float(np.max(np.abs(advantage[support])))
-
-    return BestResponseReport(
-        type_index=k,
-        gap=float(advantage[arg]),
-        argmax_effort=float(xs[arg]),
-        on_support_residual=residual,
-        grid_size=int(xs.size),
-    )
+    return _sweeps(env, contest, eqm, (k,), grid_size)[0]
 
 
 def monte_carlo_effort(
@@ -107,13 +132,15 @@ def monte_carlo_effort(
     """Seeded Monte Carlo mean effort: draw a type, then an inverse-transform draw.
 
     Samples are generated in chunks of _MC_CHUNK draws, each from its own
-    child of the master seed, so memory stays bounded and reruns with the
-    same seed are bit-identical. seed must be a nonnegative integer.
+    child of the master seed, so reruns with the same seed are bit-identical.
+    A chunk draws all its types first and then its unit draws, _HORNER_BLOCK
+    at a time, each block taken through the prize curve and the cost
+    inverses at once; so memory holds the chunk's types and efforts plus one
+    block's work. n_samples must be an integer of at least 10^4 and seed a
+    nonnegative integer.
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ArgumentError(f"seed must be a nonnegative integer, got {seed!r}")
-    if n_samples < 10_000:
-        raise ArgumentError(f"n_samples must be at least 10^4, got {n_samples!r}")
+    _check_count("seed", seed, 0, "0")
+    _check_count("n_samples", n_samples, 10_000, "10^4")
     if eqm.env != env or eqm.contest != contest:
         raise ArgumentError("equilibrium was solved for a different environment or contest")
 
@@ -128,14 +155,14 @@ def monte_carlo_effort(
         size = min(_MC_CHUNK, remaining)
         remaining -= size
         rng = np.random.default_rng(child)
-        kinds = np.searchsorted(cuts, rng.random(size), side="left")
-        draws = rng.random(size)
+        kinds = np.searchsorted(cuts, rng.random(size), side="left") + 1
         efforts = np.empty(size)
-        for idx in np.unique(kinds):
-            mask = kinds == idx
-            efforts[mask] = _draw(eqm, int(idx) + 1, draws[mask])
+        for start in range(0, size, _HORNER_BLOCK):
+            seg = kinds[start : start + _HORNER_BLOCK]
+            efforts[start : start + seg.size] = _draw(eqm, seg, rng.random(seg.size))
         total += float(np.sum(efforts))
-        total_sq += float(np.sum(efforts * efforts))
+        efforts *= efforts
+        total_sq += float(np.sum(efforts))
 
     mean = total / n_samples
     variance = max(total_sq / n_samples - mean * mean, 0.0)
@@ -156,10 +183,11 @@ def verification_report(
     seed: int,
     grid_size: int = 1024,
 ) -> VerificationReport:
-    """Run both audits: per-type deviation sweeps and the sampled mean effort."""
-    gaps = tuple(
-        best_response_gap(env, contest, eqm, k, grid_size=grid_size)
-        for k in range(1, env.n_types + 1)
-    )
+    """Run both audits: the deviation sweeps and the sampled mean effort.
+
+    All K sweeps share one evaluation of the prize term, on the grid plus
+    every boundary; each row equals best_response_gap for its type.
+    """
+    gaps = _sweeps(env, contest, eqm, range(1, env.n_types + 1), grid_size)
     mc = monte_carlo_effort(env, contest, eqm, n_samples, seed)
     return VerificationReport(gaps=gaps, monte_carlo=mc)

@@ -1,8 +1,10 @@
 """Binomial kernels, the expected-prize curve, and the Lorenz comparison."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom
 
@@ -310,6 +312,82 @@ class TestHornerCurve:
         ts = np.linspace(0.0, 1.0, 9)
         assert kernels._ladder_dot(np.zeros(4), 3, ts).tolist() == [0.0] * 9
         assert prize_expectation_derivative(Contest((0.0, 0.0)), ts).tolist() == [0.0] * 9
+
+
+def _both_orders(weights, n, t):
+    """The Horner sum in s = min(t, 1-t) / max(t, 1-t) with both coefficient orders
+    summed for every point and the one for its side of 1/2 kept.
+
+    Written out here as the reference for _ladder_dot below its cutoff: powers
+    in blocks of width = isqrt((n+1)/2), Horner within a block and then over
+    the blocks in s^width, coefficients scaled down by a power of two.
+    """
+    width = max(1, math.isqrt((n + 1) // 2))
+    blocks = -(-(n + 1) // width)
+    scale = math.ldexp(1.0, max(math.frexp(max(weights.tolist()))[1] + n - 1020, 0))
+    combs = [float(math.comb(n, m)) for m in range(n + 1)]
+    rest = 1.0 - t
+    q = np.maximum(t, rest)
+    s = np.minimum(t, rest) / q
+
+    def coef(p, order):
+        if p > n:
+            return 0.0
+        m = p if order == 0 else n - p
+        return weights[m] * (1.0 / scale) * combs[p]
+
+    sums = []
+    for order in (0, 1):
+        inner = []
+        for j in range(blocks):
+            row = np.full(t.size, coef(j * width + width - 1, order))
+            for i in range(width - 2, -1, -1):
+                row = row * s + coef(j * width + i, order)
+            inner.append(row)
+        s_width = s**width if width > 1 else s
+        acc = inner[-1]
+        for row in inner[-2::-1]:
+            acc = acc * s_width + row
+        sums.append(acc)
+    return np.where(t <= 0.5, sums[0], sums[1]) * (q**n * scale)
+
+
+class TestHornerLayouts:
+    """Each point is summed in its own order only; its value must not depend on its neighbours."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 2, 6, 7, 200, 1000]),
+        exponent=st.integers(min_value=-300, max_value=299),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_a_point_sums_alike_in_every_layout(self, n, exponent, seed):
+        import contestlab.kernels as kernels
+
+        rng = np.random.default_rng(seed)
+        weights = np.sort(rng.random(n + 1)) * 10.0**exponent
+        edges = [0.0, 0.5, float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0)), 1.0]
+        ts = np.concatenate([edges, rng.random(59)])
+        reference = _both_orders(weights, n, ts)
+
+        ascending = np.argsort(ts, kind="stable")
+        layouts = {
+            "shuffled": rng.permutation(ts.size),
+            "ascending": ascending,
+            "descending": ascending[::-1],
+            "lower side": np.flatnonzero(ts <= 0.5),
+            "upper side": np.flatnonzero(ts > 0.5),
+        }
+        for name, picks in layouts.items():
+            got = kernels._ladder_dot(weights, n, ts[picks])
+            assert np.array_equal(got, reference[picks]), name
+
+        # the same points scattered through three blocks of random filler
+        spread = rng.random(2 * kernels._HORNER_BLOCK + 300)
+        slots = rng.choice(spread.size, ts.size, replace=False)
+        spread[slots] = ts
+        got = kernels._ladder_dot(weights, n, spread)
+        assert np.array_equal(got[slots], reference), "spanning blocks"
 
 
 class TestPrizeExpectationInverse:
