@@ -17,8 +17,8 @@ import numpy as np
 
 from ._quad import _NODES, _WEIGHTS, QUAD_TOL, _monotone_inverse, adaptive
 from .costs import TABULATED, ContestEnvironment
-from .equilibrium import Equilibrium
-from .errors import ArgumentError, CapabilityError
+from .equilibrium import Equilibrium, _check_solved, _forward
+from .errors import ArgumentError, CapabilityError, NumericError
 from .kernels import Contest, _check_opponents, _ladder_dot, _pmf_rows, _upper_tails
 
 
@@ -40,14 +40,6 @@ class AlphaVector:
         return float(
             np.dot(np.asarray(self.coefficients), np.asarray(contest.prizes[1:]))
         )
-
-
-def _check_solved(env: ContestEnvironment, contest: Contest, eqm) -> Equilibrium:
-    if not isinstance(eqm, Equilibrium):
-        raise ArgumentError("expected a solved Equilibrium")
-    if eqm.env != env or eqm.contest != contest:
-        raise ArgumentError("equilibrium was solved for a different environment or contest")
-    return eqm
 
 
 def _check_tol(tol: float) -> None:
@@ -124,9 +116,9 @@ class _EffortOperator:
     grading toward t = 0, where the cost level vanishes and the cost inverse
     can have unbounded slope (t^(j/e) when the first j prizes are zero under a
     power-e base). The pmf matrices at the nodes and at the cuts P_k are kept,
-    so a batch of ladders costs matrix products for the prize curve, the
-    forward recursion of solve for the utilities, and one cost inverse per
-    segment.
+    so a batch of ladders costs matrix products for the prize curve, one
+    call of _forward (solve's recursion) for the utilities, and one cost
+    inverse per segment.
 
     A tabulated type's inverse has second-derivative jumps where the cost
     level crosses a table knot, at win probabilities that move with the
@@ -193,11 +185,7 @@ class _EffortOperator:
     def __call__(self, ladders: np.ndarray) -> np.ndarray:
         """Expected effort of each row of a (batch, N+1) array of prize ladders."""
         pis = ladders @ self._cut_pmf
-        utilities = np.zeros((ladders.shape[0], self.env.n_types))
-        boundary = np.zeros(ladders.shape[0])
-        for k, cf in enumerate(self.env.types):
-            utilities[:, k] = pis[:, k] - cf._evaluate(boundary)
-            boundary = cf._inverse(np.maximum(pis[:, k + 1] - utilities[:, k], 0.0))
+        utilities = _forward(self.env.types, pis)[1]
         total = np.zeros(ladders.shape[0])
         panels = self._segment_panels(ladders, pis, utilities)
         for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
@@ -210,23 +198,26 @@ class _EffortOperator:
 
         Exact for the node sum: through 1 / c'(c^-1(level)) at every node (a
         node whose marginal cost is 0 or underflows adds nothing) and through
-        the utilities of solve's recursion, whose derivatives are taken with
-        respect to the prize curve at each cut P_j and then pulled back to the
-        prizes (an adjoint pass). A tabulated segment's split points are held
-        where they are; moving them changes the sum only by its quadrature
-        error. The derivative along a direction that keeps v_0 = 0 is its dot
-        product with the gradient.
+        the utilities of _forward, whose tangents are taken with respect to
+        the prize curve at each cut P_j and then pulled back to the prizes (an
+        adjoint pass). A tabulated segment's split points are held where they
+        are; moving them changes the sum only by its quadrature error. The
+        derivative along a direction that keeps v_0 = 0 is its dot product
+        with the gradient. Where a cost slope at b_k is 0 or infinite (bands
+        1..k did not rise from b_0 = 0) it raises NumericError, not NaN.
         """
-        pis, d_pis = ladder @ self._cut_pmf, np.eye(self.env.n_types + 1)
+        types, pis, d_pis = self.env.types, ladder @ self._cut_pmf, np.eye(self.env.n_types + 1)
         self.gradients += 1
-        utilities = np.zeros(self.env.n_types)  # u_1 = 0 and, as v_0 = 0, so is its derivative
+        boundaries, utilities = (part[0] for part in _forward(types, pis[None])[:2])
+        # u_1 = 0 and, as v_0 = 0, so is its derivative; b_K feeds no utility
         d_utilities = np.zeros((self.env.n_types + 1, self.env.n_types))
-        for k, cf in enumerate(self.env.types):
-            if k > 0:  # skips c'(b_0 = 0), infinite under a power base below 1
-                utilities[k] = pis[k] - cf._evaluate(boundary)[0]
-                d_utilities[:, k] = d_pis[:, k] - cf._slope(boundary) * d_boundary
-            boundary = cf._inverse(np.maximum(pis[k + 1 : k + 2] - utilities[k], 0.0))
-            d_boundary = (d_pis[:, k + 1] - d_utilities[:, k]) / cf._slope(boundary)
+        with np.errstate(divide="ignore"):  # c'(0) is infinite under a power base below 1
+            for k in range(1, self.env.n_types):
+                rate, next_rate = (cf._slope(boundaries[k : k + 1]) for cf in types[k - 1 : k + 1])
+                if not (0.0 < rate[0] < np.inf and next_rate[0] < np.inf):
+                    raise NumericError(f"boundary points failed to increase at type {k}")
+                d_boundary = (d_pis[:, k] - d_utilities[:, k - 1]) / rate
+                d_utilities[:, k] = d_pis[:, k] - next_rate * d_boundary
         total, mass = np.zeros(ladder.size), np.zeros(self.env.n_types)
         panels = self._segment_panels(ladder[None], pis[None], utilities[None])
         for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):

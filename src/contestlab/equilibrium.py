@@ -24,10 +24,11 @@ from .kernels import Contest, _check_opponents, _prize_curve, _prize_inverse
 class Equilibrium:
     """Solved equilibrium: boundaries b_0..b_K and utilities u_1..u_K.
 
-    b_0 = 0 and the boundaries are strictly increasing; u_1 = 0 and the
-    utilities are nondecreasing (more efficient types collect weakly larger
-    information rents). Per-type mixing distributions are implicit: they are
-    recovered pointwise through type_cdf rather than stored.
+    Both are a row of _forward, as floats. b_0 = 0 and the boundaries are
+    strictly increasing (solve checks); u_1 = 0 and the utilities are
+    nondecreasing (more efficient types collect weakly larger information
+    rents). Per-type mixing distributions are implicit: they are recovered
+    pointwise through type_cdf rather than stored.
     """
 
     env: ContestEnvironment
@@ -46,8 +47,34 @@ def _check_pair(env: ContestEnvironment, contest: Contest) -> None:
         raise ArgumentError("equilibrium needs a positive top prize")
 
 
+def _check_solved(env: ContestEnvironment, contest: Contest, eqm) -> None:
+    if not isinstance(eqm, Equilibrium):
+        raise ArgumentError("expected a solved Equilibrium")
+    if eqm.env != env or eqm.contest != contest:
+        raise ArgumentError("equilibrium was solved for a different environment or contest")
+
+
+def _forward(types, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundaries b_0..b_K, utilities and unclamped levels per row of pis = pi(P_0)..pi(P_K).
+
+    u_k = pi(P_{k-1}) - c_k(b_{k-1}) and b_k = c_k^-1(max(level_k, 0)) with
+    level_k = pi(P_k) - u_k, unchecked and elementwise, so rows are independent.
+    """
+    boundaries = np.zeros((len(types) + 1, pis.shape[0]))  # type-major: a step writes a row
+    utilities = np.empty_like(boundaries[1:])
+    boundary = zero = boundaries[0]
+    for k, (cf, lo, hi, u) in enumerate(zip(types, pis.T, pis.T[1:], utilities), start=1):
+        np.subtract(lo, cf._evaluate(boundary), out=u)
+        try:
+            boundary = cf._inverse(np.maximum(hi - u, zero))
+        except Exception as exc:  # noqa: BLE001 - annotate which type failed
+            raise NumericError(f"cost inversion failed for type {k}: {exc}") from exc
+        boundaries[k] = boundary
+    return boundaries.T, utilities.T, pis[:, 1:] - utilities.T
+
+
 def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
-    """Compute boundary points and utilities by forward recursion.
+    """Compute boundary points and utilities by forward recursion (_forward, one row).
 
     Starting from b_0 = 0, each step reads off u_k from the prize at the
     segment's lower end and then inverts type k's cost at the upper end.
@@ -60,35 +87,15 @@ def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
     if not report.passed:
         raise ArgumentError(f"invalid environment: {report.failures[0]}")
 
-    pis = _prize_curve(contest, np.asarray(env.cumulative)).tolist()  # pis[0] == 0
-    boundaries = [0.0]
-    utilities = []
-    for k in range(1, env.n_types + 1):
-        cf = env.types[k - 1]
-        u_k = pis[k - 1] - float(cf._evaluate(np.array([boundaries[-1]]))[0])
-        level = pis[k] - u_k
-        if level < 0.0:
-            if level < -1e-12 * contest.top_prize:
-                raise NumericError(f"negative cost level {level!r} while inverting type {k}")
-            level = 0.0
-        try:
-            b_k = float(cf._inverse(np.array([level]))[0])
-        except Exception as exc:  # noqa: BLE001 - annotate which type failed
-            raise NumericError(f"cost inversion failed for type {k}: {exc}") from exc
-        boundaries.append(b_k)
-        utilities.append(u_k)
-
+    pis = _prize_curve(contest, np.asarray(env.cumulative))  # pis[0] == 0
+    boundaries, utilities, levels = (row[0].tolist() for row in _forward(env.types, pis[None]))
+    for k, level in enumerate(levels, start=1):
+        if level < -1e-12 * contest.top_prize:
+            raise NumericError(f"negative cost level {level!r} while inverting type {k}")
     for k in range(1, len(boundaries)):
-        # written so that a NaN boundary also fails
-        if not boundaries[k] > boundaries[k - 1]:
+        if not boundaries[k] > boundaries[k - 1]:  # written so that a NaN boundary also fails
             raise NumericError(f"boundary points failed to increase at type {k}")
-
-    return Equilibrium(
-        env=env,
-        contest=contest,
-        boundaries=tuple(boundaries),
-        utilities=tuple(utilities),
-    )
+    return Equilibrium(env, contest, tuple(boundaries), tuple(utilities))
 
 
 def _require_parametric(env: ContestEnvironment) -> None:

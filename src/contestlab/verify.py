@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import ContestEnvironment
-from .equilibrium import Equilibrium, _draw, exante_cdf
+from .equilibrium import Equilibrium, _check_solved, _draw, exante_cdf
 from .errors import ArgumentError
 from .kernels import _HORNER_BLOCK, Contest, _prize_curve
 
@@ -76,6 +76,7 @@ def _sweeps(
     grid gives.
     """
     _check_count("grid_size", grid_size, 100, "100")
+    _check_solved(env, contest, eqm)
     boundaries = np.asarray(eqm.boundaries)
     grid = np.linspace(0.0, 1.5 * eqm.max_effort, grid_size)
     points = np.union1d(grid, boundaries[sorted({j for k in ks for j in (k - 1, k)})])
@@ -111,12 +112,12 @@ def best_response_gap(
 
     The payoff of effort x against the equilibrium is the expected prize at
     the population CDF of x minus the type's cost. The grid spans
-    [0, 1.5 * b_K] plus the type's boundaries b_{k-1} and b_k: beyond the
-    top boundary the prize is capped at the top rank, so payoffs only fall
-    further and probing farther adds nothing. Returns the maximum payoff
-    advantage over the equilibrium utility (should be nonpositive up to
-    numerics) and the worst indifference residual on the type's own
-    interval. grid_size must be an integer of at least 100.
+    [0, 1.5 * b_K] plus the type's boundaries b_{k-1} and b_k: beyond the top
+    boundary the prize is capped at the top rank, so payoffs only fall further
+    and probing farther adds nothing. Returns the maximum payoff advantage
+    over the equilibrium utility (should be nonpositive up to numerics) and
+    the worst indifference residual on the type's own interval. grid_size
+    must be an integer of at least 100, and eqm solved for env and contest.
     """
     env.type_at(k)
     return _sweeps(env, contest, eqm, (k,), grid_size)[0]
@@ -136,13 +137,12 @@ def monte_carlo_effort(
     A chunk draws all its types first and then its unit draws, _HORNER_BLOCK
     at a time, each block taken through the prize curve and the cost
     inverses at once; so memory holds the chunk's types and efforts plus one
-    block's work. n_samples must be an integer of at least 10^4 and seed a
-    nonnegative integer.
+    block's work. n_samples must be an integer of at least 10^4, seed a
+    nonnegative integer and eqm solved for env and contest.
     """
     _check_count("seed", seed, 0, "0")
     _check_count("n_samples", n_samples, 10_000, "10^4")
-    if eqm.env != env or eqm.contest != contest:
-        raise ArgumentError("equilibrium was solved for a different environment or contest")
+    _check_solved(env, contest, eqm)
 
     cuts = np.asarray(env.cumulative[1:-1])
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
@@ -186,7 +186,8 @@ def verification_report(
     """Run both audits: the deviation sweeps and the sampled mean effort.
 
     All K sweeps share one evaluation of the prize term, on the grid plus
-    every boundary; each row equals best_response_gap for its type.
+    every boundary; each row equals best_response_gap for its type. An eqm
+    solved for another env or contest is rejected before any sweep runs.
     """
     gaps = _sweeps(env, contest, eqm, range(1, env.n_types + 1), grid_size)
     mc = monte_carlo_effort(env, contest, eqm, n_samples, seed)

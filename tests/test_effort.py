@@ -1,5 +1,7 @@
 """Effort quadrature against the closed-form coefficients and cost-space identity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -322,3 +324,18 @@ class TestEffortOperator:
         batch = operator(ladders)
         single = np.array([operator(row[None, :])[0] for row in ladders])
         np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+
+    def test_gradient_raises_where_the_first_band_is_float_empty(self):
+        # the N-ladder env at N=1000: paying the top 120 ranks, pi(P_1) underflows,
+        # b_1 = 0 and c'(b_1) = 0 under the power-2 base; paying the top 121 it does not
+        env = ContestEnvironment(
+            1000, tuple(CostFunction.power(t, 2.0) for t in (2.0, 1.5, 1.0)), (0.3, 0.3, 0.4)
+        )
+        operator = _EffortOperator(env)
+        ladders = np.zeros((2, 1001))
+        ladders[0, -120:], ladders[1, -121:] = 1.0 / 120, 1.0 / 121
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="boundary points failed to increase at type 1"):
+                operator.gradient(ladders[0])
+            assert np.all(np.isfinite(operator.gradient(ladders[1])))

@@ -16,6 +16,7 @@ from contestlab import (
     solve,
     verification_report,
 )
+from contestlab import verify
 from contestlab.verify import _MC_CHUNK
 from conftest import random_monotone_contest, random_probs, random_thetas
 
@@ -77,6 +78,11 @@ class TestBestResponseGap:
             margins.append(eqm.utilities[1] - payoff)
         assert all(m > 0 for m in margins)
         assert margins[0] < margins[1] < margins[2]
+
+    def test_rejects_an_equilibrium_of_another_contest(self, two_type_env, top_prize_contest):
+        eqm = solve(two_type_env, top_prize_contest)
+        with pytest.raises(ArgumentError, match="different environment or contest"):
+            best_response_gap(two_type_env, Contest((0.0, 0.5, 0.5)), eqm, 2)
 
     def test_rejects_tiny_grid(self, two_type_env, top_prize_contest):
         eqm = solve(two_type_env, top_prize_contest)
@@ -168,6 +174,16 @@ class TestVerificationReport:
         assert audit.worst_gap <= 1e-6
         assert audit.monte_carlo.half_width > 0.0
         assert np.isfinite(audit.monte_carlo.mean)
+
+    def test_rejects_an_equilibrium_of_another_contest_before_any_sweep(
+        self, two_type_env, top_prize_contest, monkeypatch
+    ):
+        eqm = solve(two_type_env, top_prize_contest)
+        swept = []
+        monkeypatch.setattr(verify, "exante_cdf", lambda *args: swept.append(args))
+        with pytest.raises(ArgumentError, match="different environment or contest"):
+            verification_report(two_type_env, Contest((0.0, 0.5, 0.5)), eqm, 50_000, seed=1)
+        assert swept == []
 
     def test_gaps_equal_the_per_type_sweeps(self):
         rng = np.random.default_rng(23)
