@@ -9,13 +9,13 @@ loops, integrands and root finders call the unchecked cores instead.
 
 The integrands fed through here are smooth except possibly at panel
 endpoints (segment breakpoints are never interior), so a 64-node rule per
-panel converges fast; adaptive splits a panel only when two refinement
-levels disagree, and evaluates each level of its tree in one batched
-call. The monotone inverses of the prize curve, the continuum
-strategies, the effort operator's knot crossings and the search's line
-steps run on _monotone_inverse, Chandrupatla's interpolating root finder;
-tabulated costs and tabulated continuum CDFs are _Pchip interpolants,
-which invert their own cubics by Newton's method.
+panel converges fast. Callers lay their panels out once and estimate the
+error by the same layout with every panel halved; nothing refines. The
+monotone inverses of the prize curve, the continuum strategies, the effort
+operator's knot crossings and the search's line steps run on
+_monotone_inverse, Chandrupatla's interpolating root finder; tabulated
+costs and tabulated continuum CDFs are _Pchip interpolants, which invert
+their own cubics by Newton's method.
 """
 
 from __future__ import annotations
@@ -28,15 +28,9 @@ from .errors import ArgumentError, NumericError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 
-QUAD_TOL = 1e-10
-
 # Panels per integrand call in gauss_panels: 8192 nodes keep the integrand's
 # temporaries small; larger blocks were slower and raised peak memory.
 _PANEL_BLOCK = 128
-
-# Cap on the panels adaptive splits on one level, held in memory at once; a
-# tol below the integrand's rounding splits nearly all. NumericError past it.
-_LEVEL_PANELS = 2**18
 
 # Cap on the steps of an element in _monotone_inverse, which raises
 # NumericError past it; bisection alone would need 50 to take [0, 1] down
@@ -70,53 +64,6 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.nda
         values = f(nodes.ravel()).reshape(nodes.shape)
         out[i : i + _PANEL_BLOCK] = half * np.einsum("ij,j->i", values, _WEIGHTS)
     return out
-
-
-def adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float | np.ndarray,
-    b: float | np.ndarray,
-    tol: float = QUAD_TOL,
-    max_depth: int = 32,
-) -> float | np.ndarray:
-    """Integrate f over [a, b], or over each interval of 1-D arrays a and b of one shape.
-
-    f must accept a vector of evaluation points. A panel is accepted once it
-    and its two halves agree within tol, else each half is refined against
-    tol / 2; max_depth caps the splitting near integrable endpoint
-    singularities such as sqrt-type integrands. The tree is walked breadth
-    first, one gauss_panels call per level, then folded back up in tree order
-    (a split panel is its left plus its right half), so an interval's value
-    is the depth-first recursion's, whichever intervals share the call.
-    Empty or reversed intervals give 0; scalar ends give a Python float.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out, open_ = np.zeros(a.shape), b > a
-    lo, hi = a[open_], b[open_]
-    mid = 0.5 * (lo + hi)
-    ends = np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))
-    coarse, left, right = gauss_panels(f, *ends).reshape(3, -1)
-    levels = []  # per level: each panel's halves summed, and which panels split
-    for depth in range(max_depth, -1, -1):
-        fine = left + right
-        split = (np.abs(fine - coarse) > tol) & (mid > lo) & (mid < hi) & (depth > 0)
-        levels.append((fine, split))
-        if not split.any():
-            break
-        if np.count_nonzero(split) > _LEVEL_PANELS:
-            raise NumericError(f"adaptive split over {_LEVEL_PANELS} panels at tol {tol:.3g}")
-        # the next level: all left halves of split panels, then all right halves
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        coarse, tol = np.concatenate((left[split], right[split])), 0.5 * tol
-        mid = 0.5 * (lo + hi)
-        ends = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        left, right = gauss_panels(f, *ends).reshape(2, -1)
-    value = np.empty(0)
-    for fine, split in reversed(levels):
-        fine[split] = value[: value.size // 2] + value[value.size // 2 :]
-        value = fine
-    out[open_] = value
-    return float(out) if out.ndim == 0 else out
 
 
 def _monotone_inverse(f, y, lo, hi, tol: float = 0.0) -> np.ndarray:

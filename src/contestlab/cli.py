@@ -31,10 +31,9 @@ from .competition import CompetitionQuery, attach_numeric_estimate, classify
 from .continuum import ContinuumEnvironment, convergence_report
 from .costs import LINEAR, POWER, TABULATED, ContestEnvironment, CostFunction, validate_environment
 from .design import optimize_budget
-from .effort import alpha_coefficients, expected_effort, expected_effort_per_type
+from .effort import QUAD_TOL, _effort_by_type, alpha_coefficients
 from .equilibrium import solve
 from .errors import ArgumentError, ContestError
-from ._quad import QUAD_TOL
 from .kernels import Contest
 from .verify import verification_report
 
@@ -571,11 +570,7 @@ def _cmd_solve(config: RunConfig):
 def _cmd_effort(config: RunConfig):
     tol = config.tolerances.get("tol_quad", _DEFAULT_TOLERANCES["tol_quad"])
     eqm = solve(config.environment, config.contest)
-    total = expected_effort(config.environment, config.contest, eqm, tol=tol)
-    per_type = [
-        expected_effort_per_type(eqm, k, tol=tol)
-        for k in range(1, config.environment.n_types + 1)
-    ]
+    total, per_type = _effort_by_type(eqm, tol)
     results = {"expected_effort": total, "per_type": per_type}
     rows = [("total", total)]
     rows += [(f"type_{k}", value) for k, value in enumerate(per_type, start=1)]

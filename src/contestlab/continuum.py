@@ -5,7 +5,9 @@ equilibrium is a pure strategy: a type theta exerts the integral, from theta
 up to the top of the support, of the prize-curve slope at that type's win
 probability, weighted by the type density over the marginal cost. Quantile
 discretizations of the type CDF produce finite environments whose mixed
-equilibria converge to this pure one, which this module measures.
+equilibria converge to this pure one, which this module measures. The
+strategy is tabulated once per contest on fixed Gauss panels, each checked
+against its two halves.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import _Pchip, _elementwise, _monotone_inverse, adaptive, gauss_panels
+from ._quad import _Pchip, _elementwise, _monotone_inverse, gauss_panels
 from .costs import ContestEnvironment, CostFunction
 from .equilibrium import exante_cdf, solve
 from .errors import ArgumentError, ContestError, NumericError
@@ -142,10 +144,12 @@ class _StrategyTable:
     h(t) = pi'(1 - G(t)) g(t) / t. The support is cut into fixed panels:
     _PANELS uniform ones per segment (tabulated CDFs end segments at their
     knots, where the density kinks) and _GRADED geometric ones refining the
-    lowest panel toward theta_lo. One batched adaptive call integrates them
-    and reverse cumulative sums give the tail beyond every edge, so s at any
-    theta is the tail beyond its panel plus one Gauss panel from theta to the
-    panel's right edge; effort_cdf brackets each effort in its table panel.
+    lowest panel toward theta_lo. Each panel is integrated as the sum of its
+    two halves, in one gauss_panels call with the whole panels; NumericError
+    if the halves and the wholes differ by more than 1e-11 * max(1, |total|)
+    in sum. Reverse cumulative sums give the tail beyond every edge, so s at
+    any theta is the tail beyond its panel plus one Gauss panel from theta to
+    the panel's right edge; effort_cdf brackets each effort in its table panel.
     Power shapes below 1 integrate in the quantile variable q = G(t),
     cancelling the density's singularity at theta_lo: h dt = pi'(1-q)/Q(q) dq.
     """
@@ -166,8 +170,14 @@ class _StrategyTable:
         )
         graded = uniform[0] + (uniform[1] - uniform[0]) * np.exp2(-np.arange(_GRADED, 0, -1))
         self.edges = np.concatenate((uniform[:1], graded, uniform[1:]))
-        tol = 1e-11 / (self.edges.size - 1)
-        pieces = adaptive(self._integrand, self.edges[:-1], self.edges[1:], tol=tol)
+        lo, hi = self.edges[:-1], self.edges[1:]
+        mid = 0.5 * (lo + hi)
+        ends = np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi))
+        whole, left, right = gauss_panels(self._integrand, *ends).reshape(3, -1)
+        pieces = left + right
+        error = float(np.abs(pieces - whole).sum())
+        if error > 1e-11 * max(1.0, abs(float(pieces.sum()))):
+            raise NumericError(f"halving the strategy table's panels moved it by {error:.3g}")
         self.tail = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
         self.max_effort = float(self.strategy(self.edges[:1])[0])
 

@@ -10,7 +10,8 @@ In a parametric type space the cost level is affine in the prizes, so effort
 is convex in them under a linear or concave base (the best vertex is optimal:
 gap <= 0, zero iterations) and concave under a convex base, where the duality
 gap certifies the optimum. Otherwise (mixed kinds or exponents, tabulated
-costs) it certifies a stationary point only. Values come from expected_effort.
+costs) it certifies a stationary point only. Values come from the operator,
+checked as expected_effort checks them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._quad import _monotone_inverse
 from .costs import ContestEnvironment
-from .effort import _EffortOperator, expected_effort
+from .effort import QUAD_TOL, _EffortOperator, _fold
 from .equilibrium import solve
 from .errors import ArgumentError, NumericError
 from .kernels import Contest
@@ -92,11 +93,17 @@ def _label(contest: Contest, budget: float) -> str:
     return "mixed"
 
 
-def _objective(env: ContestEnvironment, contest: Contest) -> float:
-    return 0.0 if contest.degenerate else expected_effort(env, contest, solve(env, contest))
+def _scored(env: ContestEnvironment, operator: _EffortOperator, contests: list) -> list:
+    """Each contest with its expected effort, 0 for the zero ladder; solve checks the others."""
+    live = [contest for contest in contests if not contest.degenerate]
+    for contest in live:
+        solve(env, contest)
+    ladders = np.array([contest.prizes for contest in live])
+    values = iter(_fold(operator.segments(ladders, QUAD_TOL)).tolist())
+    return [(contest, 0.0 if contest.degenerate else next(values)) for contest in contests]
 
 
-def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
+def _frank_wolfe(operator: _EffortOperator, scored: list, budget: float):
     """Pairwise Frank-Wolfe over the full-budget face, from its best vertex in scored.
 
     Works in weights w over the N full-budget vertices, whose solves validated
@@ -104,7 +111,6 @@ def _frank_wolfe(env: ContestEnvironment, scored: list, budget: float):
     to the vertex with the highest (Lacoste-Julien & Jaggi, NeurIPS 2015, sec.
     3). Returns the ladder as a contest, its gap and the gradient count.
     """
-    operator = _EffortOperator(env)
     corners = np.array([contest.prizes for contest, _ in scored[1:]])
     n = len(corners)
     share = budget / np.arange(n, 0, -1.0)
@@ -152,7 +158,7 @@ def optimize_budget(
     NumericError if _FW_ITERATIONS iterations do not get there. gap is that
     duality gap (None in mode "vertex"): an optimality certificate under a
     convex parametric base, a stationarity one elsewhere. evaluations counts
-    expected_effort calls and gradients of the effort operator. seed (None or
+    ladders valued and gradients of the effort operator. seed (None or
     a nonnegative integer) is validated and echoed but ignored.
     Ties within 1e-9 of the best value per unit budget are reported.
     """
@@ -161,14 +167,15 @@ def optimize_budget(
     if mode not in ("vertex", "vertex_plus_search"):
         raise ArgumentError(f"mode must be 'vertex' or 'vertex_plus_search', got {mode!r}")
     vertices = enumerate_vertices(env.n_others, budget)
-    scored = [(contest, _objective(env, contest)) for contest in vertices]
+    operator = _EffortOperator(env)
+    scored = _scored(env, operator, vertices)
     candidates, evaluations, gap = list(scored), len(scored), None
     if mode == "vertex_plus_search":
-        contest, gap, used = _frank_wolfe(env, scored, budget)
+        contest, gap, used = _frank_wolfe(operator, scored, budget)
         evaluations += used
         if contest not in vertices:
             evaluations += 1
-            candidates.append((contest, _objective(env, contest)))
+            candidates += _scored(env, operator, [contest])
     best_contest, best_val = max(candidates, key=lambda item: item[1])
     tie_tol = TIE_RTOL * max(budget, 1.0)
     ties = tuple(c for c, val in candidates if c != best_contest and abs(val - best_val) <= tie_tol)

@@ -3,8 +3,9 @@
 The workhorse identity: the win probability of an arbitrary agent is uniform
 on [0, 1], so expected effort is the integral over t of the effort an agent
 exerts when its win probability is t. That integrand is continuous on [0, 1]
-but kinked at the type breakpoints P_k, so quadrature proceeds segment by
-segment. Under linear costs the same integral collapses to a dot product
+but kinked at the type breakpoints P_k, so it is summed segment by segment on
+fixed Gauss panels (_EffortOperator) and checked against the same panels
+halved. Under linear costs the same integral collapses to a dot product
 alpha . v whose coefficients depend only on the type distribution.
 """
 
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _NODES, _WEIGHTS, QUAD_TOL, _monotone_inverse, adaptive
+from ._quad import _NODES, _WEIGHTS, _monotone_inverse
 from .costs import TABULATED, ContestEnvironment
 from .equilibrium import Equilibrium, _check_solved, _forward
 from .errors import ArgumentError, CapabilityError, NumericError
-from .kernels import Contest, _check_opponents, _ladder_dot, _pmf_rows, _upper_tails
+from .kernels import Contest, _check_opponents, _pmf_rows, _upper_tails
+
+# Default bound on each segment's error estimate, relative to max(1, |segment|).
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class AlphaVector:
 
 
 def _check_tol(tol: float) -> None:
-    # adaptive never meets a tolerance that is NaN or not positive
+    # no error estimate meets a tolerance that is NaN or not positive
     if not (math.isfinite(tol) and tol > 0.0):
         raise ArgumentError(f"tol must be finite and positive, got {tol!r}")
 
@@ -54,41 +58,33 @@ def expected_effort(
     eqm: Equilibrium,
     tol: float = QUAD_TOL,
 ) -> float:
-    """Expected effort of an arbitrary agent, integrated segment by segment.
+    """Expected effort of an arbitrary agent: the effort operator's value of the contest.
 
-    Each segment [P_{k-1}, P_k] uses a 64-node Gauss-Legendre panel with
-    adaptive bisection, one integrand call per level, where two refinement
-    levels disagree beyond tol; integrating across the kinks at P_k would
-    degrade convergence, so they are always panel endpoints.
+    Each segment [P_{k-1}, P_k] is summed on the operator's fixed Gauss panels,
+    whose ends include the kinks at P_k, and again with every panel halved at
+    its midpoint. NumericError if the two differ by more than
+    tol * max(1, |segment|) on any segment.
     """
     _check_solved(env, contest, eqm)
-    _check_tol(tol)
-    prizes = np.asarray(contest.prizes)
-    total = 0.0
-    for k in range(1, env.n_types + 1):
-        total += _segment_integral(env, prizes, k, eqm.utilities[k - 1], tol)
-    return total
+    return _effort_by_type(eqm, tol)[0]
 
 
 def expected_effort_per_type(eqm: Equilibrium, k: int, tol: float = QUAD_TOL) -> float:
-    """Expected effort of an agent conditional on being type k."""
-    env = eqm.env
-    env.type_at(k)
+    """Expected effort of an agent conditional on being type k, checked as expected_effort."""
+    eqm.env.type_at(k)
+    return _effort_by_type(eqm, tol)[1][k - 1]
+
+
+def _effort_by_type(eqm: Equilibrium, tol: float) -> tuple[float, list[float]]:
+    """expected_effort and the expected_effort_per_type of every type, from one operator call."""
     _check_tol(tol)
-    p_k = env.probs[k - 1]
-    prizes = np.asarray(eqm.contest.prizes)
-    return _segment_integral(env, prizes, k, eqm.utilities[k - 1], tol) / p_k
+    segments = _EffortOperator(eqm.env).segments(np.array([eqm.contest.prizes]), tol)[0]
+    return float(_fold(segments)), [float(s / p) for s, p in zip(segments, eqm.env.probs)]
 
 
-def _segment_integral(env, prizes: np.ndarray, k: int, u_k: float, tol: float) -> float:
-    """Adaptive integral of type k's effort over its band, for one prize ladder."""
-    cf = env.types[k - 1]
-    n = prizes.size - 1
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return cf._inverse(np.maximum(_ladder_dot(prizes, n, ts) - u_k, 0.0))
-
-    return adaptive(integrand, env.cumulative[k - 1], env.cumulative[k], tol=tol)
+def _fold(values: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, left to right as a scalar loop adds: exact zeros change nothing."""
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 # Fixed-node layout of _EffortOperator: uniform 64-node Gauss panels per
@@ -98,14 +94,34 @@ _UNIFORM_PANELS = 4
 _GRADED_PANELS = 12
 _GRADE_RATIO = 1.0 / 16.0
 
+# About this many values per array in _EffortOperator._integrate. Whole segments at
+# once grew and trimmed glibc's heap by up to 1.5 MB (380 page faults) per request.
+_NODE_BLOCK = 1 << 11
 
-def _gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 64-node Gauss panels between consecutive edges along the last axis."""
+
+def _gauss_nodes(edges: np.ndarray, halved: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 64-node Gauss panels between consecutive edges along the last axis,
+    each panel first split at its midpoint if halved."""
+    if halved:
+        mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+        edges = np.sort(np.concatenate((edges, mid), axis=-1), axis=-1)
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     shape = edges.shape[:-1] + (-1,)
     nodes = (mid[..., None] + half[..., None] * _NODES).reshape(shape)
     return nodes, (half[..., None] * _WEIGHTS).reshape(shape)
+
+
+def _pmf_at(n: int, ts: np.ndarray) -> np.ndarray:
+    """pmf rows of Bin(n, t) at ts of shape (M,) or (batch, M): (n+1, M) or (batch, n+1, M)."""
+    return np.moveaxis(_pmf_rows(n, ts.ravel()).reshape(n + 1, *ts.shape), 0, -2)
+
+
+def _curve(ladders: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Prize curve of each ladder at pmf's nodes, (N+1, M) shared or (batch, N+1, M).
+
+    einsum sums each row on its own, where BLAS orders a row by its place in the batch."""
+    return np.einsum("bn,nm->bm" if pmf.ndim == 2 else "bn,bnm->bm", ladders, pmf)
 
 
 class _EffortOperator:
@@ -116,9 +132,10 @@ class _EffortOperator:
     grading toward t = 0, where the cost level vanishes and the cost inverse
     can have unbounded slope (t^(j/e) when the first j prizes are zero under a
     power-e base). The pmf matrices at the nodes and at the cuts P_k are kept,
-    so a batch of ladders costs matrix products for the prize curve, one
-    call of _forward (solve's recursion) for the utilities, and one cost
-    inverse per segment.
+    so a batch of ladders costs products for the prize curve, one call of
+    _forward (solve's recursion) for the utilities, and one cost inverse per
+    block of panels. The same layout with every panel halved, which gives
+    the error estimates of segments, is built on first use.
 
     A tabulated type's inverse has second-derivative jumps where the cost
     level crosses a table knot, at win probabilities that move with the
@@ -133,65 +150,95 @@ class _EffortOperator:
     def __init__(self, env: ContestEnvironment) -> None:
         self.env = env
         cuts = env.cumulative
-        self._edges, self._panels = [], []
-        for k, cf in enumerate(env.types, start=1):
-            edges = np.linspace(cuts[k - 1], cuts[k], _UNIFORM_PANELS + 1)
-            if k == 1:
-                graded = edges[1] * _GRADE_RATIO ** np.arange(_GRADED_PANELS, 0, -1)
-                edges = np.concatenate(([0.0], graded, edges[1:]))
-            self._edges.append(edges)
-            nodes, weights = _gauss_nodes(edges)
-            # a tabulated segment's nodes are laid per ladder, by _segment_panels
-            tabulated = cf.kind == TABULATED
-            self._panels.append(None if tabulated else (_pmf_rows(env.n_others, nodes), weights))
+        self._edges = [np.linspace(a, b, _UNIFORM_PANELS + 1) for a, b in zip(cuts, cuts[1:])]
+        graded = self._edges[0][1] * _GRADE_RATIO ** np.arange(_GRADED_PANELS, 0, -1)
+        self._edges[0] = np.concatenate(([0.0], graded, self._edges[0][1:]))
         self._cut_pmf = _pmf_rows(env.n_others, np.asarray(cuts))
+        self._fixed = {}  # (segment, halved) -> pmf at its fixed nodes and their weights
         self.gradients = 0  # gradients taken
 
-    def _segment_panels(self, ladders: np.ndarray, pis: np.ndarray, utilities: np.ndarray):
-        """pmf at the nodes and weights of each segment, for a (batch, N+1) array of ladders.
+    def _layout(self, ladders: np.ndarray, pis: np.ndarray, utilities: np.ndarray) -> list:
+        """Edges of each segment for a (batch, N+1) array of ladders, pi at the cuts and the u_k.
 
-        Shared by the batch, (N+1, M) and (M,), except on a tabulated segment:
-        there (batch, N+1, M) and (batch, M), the segment's fixed panels split
-        for each ladder where its cost level pi(t) - u_k crosses a table knot.
-        pis holds pi at the cuts and utilities the u_k, one row per ladder.
-        Only knots that some ladder crosses inside their segment are solved for.
+        Shared (E,), except on a tabulated segment where some ladder's cost
+        level pi(t) - u_k crosses a table knot: there (batch, E'), split for
+        each ladder at its crossings. Only knots that some ladder crosses are
+        solved for; for the other ladders the root is a segment end, an empty panel.
         """
-        tabulated = [k for k, panels in enumerate(self._panels) if panels is None]
+        edges = list(self._edges)
+        tabulated = [k for k, cf in enumerate(self.env.types) if cf.kind == TABULATED]
         if not tabulated:
-            return self._panels
+            return edges
         n, cuts = self.env.n_others, np.asarray(self.env.cumulative)
         knots = [np.array(self.env.types[k].points[1:])[:, 1] for k in tabulated]
         owner = np.concatenate([np.full(c.size, k) for k, c in zip(tabulated, knots)])
         targets = utilities[:, owner] + np.concatenate(knots)
         crossed = ((pis[:, owner] < targets) & (targets < pis[:, owner + 1])).any(axis=0)
         owner, targets = owner[crossed], targets[:, crossed]
-
-        def pmf(ts: np.ndarray) -> np.ndarray:  # (batch, N+1, M) at ts of shape (batch, M)
-            return _pmf_rows(n, ts.ravel()).reshape(n + 1, *ts.shape).transpose(1, 0, 2)
-
+        if not owner.size:
+            return edges
         # a crossing off by d moves the node sum by about d^2 (the integrand of
         # the gradient has a kink there), so a bracket of 1e-10 is far below rounding
         crossings = _monotone_inverse(
-            lambda ts: (ladders[:, None] @ pmf(ts))[:, 0],
+            lambda ts: _curve(ladders, _pmf_at(n, ts)),
             targets, cuts[owner], cuts[owner + 1], tol=1e-10,
         )
-        panels = list(self._panels)
-        for k in tabulated:
+        for k in np.unique(owner):
             fixed = np.broadcast_to(self._edges[k], (ladders.shape[0], self._edges[k].size))
-            nodes, weights = _gauss_nodes(np.sort(np.hstack((fixed, crossings[:, owner == k]))))
-            panels[k] = pmf(nodes), weights
+            edges[k] = np.sort(np.hstack((fixed, crossings[:, owner == k])))
+        return edges
+
+    def _panels(self, edges: list, halved: bool) -> list:
+        """pmf at the nodes and weights of each segment, on its edges or with every panel halved.
+
+        Shared edges give (N+1, M) and (M,), kept for later calls; a tabulated
+        segment's per-ladder edges give (batch, N+1, M) and (batch, M).
+        """
+        panels = []
+        for k, segment in enumerate(edges):
+            if segment.ndim == 2 or (k, halved) not in self._fixed:
+                nodes, weights = _gauss_nodes(segment, halved)
+                panels.append((_pmf_at(self.env.n_others, nodes), weights))
+                if segment.ndim == 1:
+                    self._fixed[k, halved] = panels[-1]
+            else:
+                panels.append(self._fixed[k, halved])
         return panels
+
+    def _integrate(self, ladders: np.ndarray, utilities: np.ndarray, panels: list) -> np.ndarray:
+        """Node sums of each segment's effort, (batch, K): per panel, then panel by panel,
+        so that empty panels add exact zeros and a ladder's value does not depend on the batch.
+        Whole panels go in blocks of about _NODE_BLOCK values, which change no node or sum."""
+        batch, out = ladders.shape[0], np.empty(utilities.shape)
+        step = _NODES.size * max(1, _NODE_BLOCK // (_NODES.size * batch))
+        for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
+            sums = []
+            for block in (slice(i, i + step) for i in range(0, weights.shape[-1], step)):
+                levels = np.maximum(_curve(ladders, pmf[..., block]) - utilities[:, k, None], 0.0)
+                pieces = cf._inverse(levels.ravel()).reshape(levels.shape) * weights[..., block]
+                sums.append(pieces.reshape(batch, -1, _NODES.size).sum(axis=2))
+            out[:, k] = _fold(np.concatenate(sums, axis=1))
+        return out
+
+    def segments(self, ladders: np.ndarray, tol: float | None = None) -> np.ndarray:
+        """Effort integral over each segment, (batch, K), for a (batch, N+1) array of ladders.
+
+        With tol, NumericError where an integral and the same integral with every
+        panel halved at its midpoint differ by more than tol * max(1, |integral|)."""
+        pis = _curve(ladders, self._cut_pmf)
+        utilities = _forward(self.env.types, pis)[1]
+        edges = self._layout(ladders, pis, utilities)
+        values = self._integrate(ladders, utilities, self._panels(edges, False))
+        if tol is not None:
+            halved = self._integrate(ladders, utilities, self._panels(edges, True))
+            error = np.max(np.abs(values - halved) / np.maximum(1.0, np.abs(values)))
+            if not error <= tol:
+                raise NumericError(f"halving the effort panels moved a segment by {error:.3g}")
+        return values
 
     def __call__(self, ladders: np.ndarray) -> np.ndarray:
         """Expected effort of each row of a (batch, N+1) array of prize ladders."""
-        pis = ladders @ self._cut_pmf
-        utilities = _forward(self.env.types, pis)[1]
-        total = np.zeros(ladders.shape[0])
-        panels = self._segment_panels(ladders, pis, utilities)
-        for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
-            levels = np.maximum((ladders[:, None] @ pmf)[:, 0] - utilities[:, k, None], 0.0)
-            total += (cf._inverse(levels.ravel()).reshape(levels.shape) * weights).sum(axis=1)
-        return total
+        return _fold(self.segments(ladders))
 
     def gradient(self, ladder: np.ndarray) -> np.ndarray:
         """Gradient of the fixed-node effort at one ladder, as an (N+1)-vector.
@@ -219,11 +266,13 @@ class _EffortOperator:
                 d_boundary = (d_pis[:, k] - d_utilities[:, k - 1]) / rate
                 d_utilities[:, k] = d_pis[:, k] - next_rate * d_boundary
         total, mass = np.zeros(ladder.size), np.zeros(self.env.n_types)
-        panels = self._segment_panels(ladder[None], pis[None], utilities[None])
-        for k, (cf, (pmf, weights)) in enumerate(zip(self.env.types, panels)):
+        edges = self._layout(ladder[None], pis[None], utilities[None])
+        for k, (cf, (pmf, weights)) in enumerate(zip(types, self._panels(edges, False))):
             if pmf.ndim == 3:  # a tabulated segment, split for this ladder
                 pmf, weights = pmf[0], weights[0]
-            rates = cf._slope(cf._inverse(np.maximum(ladder @ pmf - utilities[k], 0.0)))
+            # a node whose level clamps to 0 adds nothing; c'(0) is infinite below power 1
+            with np.errstate(divide="ignore"):
+                rates = cf._slope(cf._inverse(np.maximum(ladder @ pmf - utilities[k], 0.0)))
             scaled = np.divide(weights, rates, out=np.zeros_like(rates), where=rates > 0)
             total += pmf @ scaled
             mass[k] = scaled.sum()

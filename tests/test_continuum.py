@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import contestlab.continuum as continuum
 from contestlab import (
     ArgumentError,
     Contest,
     ContinuumEnvironment,
+    NumericError,
     boundaries_closed_form,
     continuum_effort_cdf,
     continuum_strategy,
@@ -77,6 +79,19 @@ class TestContinuumStrategy:
             limit=200,
         )
         assert continuum_strategy(cenv, contest, theta) == pytest.approx(reference, abs=1e-9)
+
+    def test_a_table_whose_halves_disagree_raises(self, monkeypatch):
+        # one panel and no grading: the square-root cusp of the shape-1.5
+        # density at theta_lo moves the halved table by about 4e-7
+        monkeypatch.setattr(continuum, "_PANELS", 1)
+        monkeypatch.setattr(continuum, "_GRADED", 0)
+        cenv = ContinuumEnvironment.power(1, 1.0, 2.0, shape=1.5)
+        with pytest.raises(NumericError, match="halving the strategy table"):
+            continuum_strategy(cenv, Contest((0.0, 1.0)), 1.5)
+        # the uniform example's integrand is smooth enough for one panel
+        assert continuum_strategy(
+            ContinuumEnvironment.uniform(1, 1.0, 2.0), Contest((0.0, 1.0)), 1.0
+        ) == pytest.approx(np.log(2.0), abs=1e-15)
 
     def test_rejects_theta_outside_support(self, uniform_example):
         cenv, contest = uniform_example

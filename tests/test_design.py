@@ -214,7 +214,7 @@ class TestFrankWolfe:
         operator = _EffortOperator(env)
         values = operator(np.array([v.prizes for v in vertices[1:]]))
         scored = [(vertices[0], 0.0)] + list(zip(vertices[1:], values.tolist()))
-        contest, gap, _ = design._frank_wolfe(env, scored, budget)
+        contest, gap, _ = design._frank_wolfe(operator, scored, budget)
         assert gap <= 1e-9 * budget
         # concavity: no ladder on the face beats the result by more than gap
         rng = np.random.default_rng(n)

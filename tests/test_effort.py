@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom
 
@@ -63,6 +64,64 @@ class TestExpectedEffort:
         combined = Contest(tuple(a + s * b for a, b in zip(v.prizes, w.prizes)))
         assert value(combined) == pytest.approx(value(v) + s * value(w), abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-14])
+    def test_linear_expected_effort_is_alpha_dot_prizes(self, tol):
+        env = ContestEnvironment(
+            2, (CostFunction.linear(2.0), CostFunction.linear(1.0)), (0.5, 0.5)
+        )
+        contest = Contest((0.0, 0.25, 1.0))
+        value = expected_effort(env, contest, solve(env, contest), tol=tol)
+        # alpha . v is 9/32 exactly; its float dot product rounds to within 4 ulp
+        ulp = np.spacing(0.28125)
+        assert abs(alpha_coefficients(env).dot(contest) - 0.28125) <= 4.0 * ulp
+        assert abs(value - 0.28125) <= 2.0 * ulp
+
+    def test_a_power_eight_instance_matches_quad(self):
+        # a steep cost inverse, c^-1(y) = (y / theta)^(1/8), in every segment
+        env = ContestEnvironment(
+            4, tuple(CostFunction.power(t, 8.0) for t in (4.0, 3.0, 2.0, 1.0)), (0.25,) * 4
+        )
+        contest = Contest((0.0, 0.25, 0.25, 0.25, 0.25))
+        eqm = solve(env, contest)
+        value = expected_effort(env, contest, eqm)
+        assert abs(value - _quad_reference(env, contest, eqm)) <= 1e-12
+        assert abs(value - 0.6860375451061458) <= 1e-12
+
+    def test_equals_the_operator_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        table = [(0.0, 0.0), (0.2, 0.5), (0.5, 1.4), (1.0, 3.2)]
+        envs = [random_parametric_env(rng, e, n_max=8) for e in (0.5, 1.0, 2.0)]
+        types = (CostFunction.tabulated(table), CostFunction.linear(1.0))
+        envs.append(ContestEnvironment(3, types, (0.4, 0.6)))
+        for env in envs:
+            contest = random_monotone_contest(rng, env.n_others)
+            value = expected_effort(env, contest, solve(env, contest))
+            assert value == _EffortOperator(env)(np.array([contest.prizes]))[0]
+
+
+class TestErrorEstimate:
+    def test_a_tolerance_below_a_positive_estimate_raises(self, two_type_env):
+        # every segment value is below 1 here, so the bound is tol itself;
+        # halving the panels moves the second segment by 2.8e-17
+        contest = Contest((0.0, 0.25, 1.0))
+        eqm = solve(two_type_env, contest)
+        ladder = np.array([contest.prizes])
+        _EffortOperator(two_type_env).segments(ladder, tol=1e-16)
+        with pytest.raises(NumericError, match="by 2.78e-17"):
+            _EffortOperator(two_type_env).segments(ladder, tol=1e-17)
+        for tol in (1e-17, 1e-18):
+            with pytest.raises(NumericError, match="halving the effort panels"):
+                expected_effort(two_type_env, contest, eqm, tol=tol)
+            with pytest.raises(NumericError, match="halving the effort panels"):
+                expected_effort_per_type(eqm, 2, tol=tol)
+
+    def test_the_estimates_stay_below_1e_13_across_exponents(self):
+        rng = np.random.default_rng(61)
+        for exponent in (0.1, 0.5, 1.0, 2.0, 8.0):
+            env = random_parametric_env(rng, exponent, n_max=6, k_max=4)
+            ladders = _ladders_with_zeros(rng, env.n_others, 2 * env.n_others + 2)
+            _EffortOperator(env).segments(ladders, tol=1e-13)
+
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_rejects_tolerance_that_cannot_be_met(two_type_env, top_prize_contest, tol):
@@ -94,7 +153,7 @@ class TestPerTypeEffort:
                 p * expected_effort_per_type(eqm, k)
                 for k, p in enumerate(env.probs, start=1)
             )
-            assert mixture == pytest.approx(total, abs=1e-9)
+            assert mixture == pytest.approx(total, abs=1e-15)
 
     def test_rejects_bad_type_index(self, two_type_env, top_prize_contest):
         eqm = solve(two_type_env, top_prize_contest)
@@ -221,20 +280,26 @@ def _ladders_with_zeros(rng, n: int, count: int) -> np.ndarray:
     return np.array(out)
 
 
-def _operator_error(env, ladders) -> float:
-    """Largest |operator - expected_effort| / max(1, value) over the ladders.
+def _quad_reference(env, contest, eqm) -> float:
+    """Expected effort by scipy's quad on each segment, from solve's utilities and the Horner curve."""
+    total = 0.0
+    for k, (cf, u_k) in enumerate(zip(env.types, eqm.utilities), start=1):
 
-    expected_effort runs at tol 1e-12 * max(1, value): its default 1e-10
-    acceptance leaves up to about 2e-11 at a t^(j/2) endpoint and 4e-12 at a
-    table knot, where the fixed nodes are the more accurate of the two.
-    """
+        def integrand(t, cf=cf, u_k=u_k):
+            return cf.inverse(max(prize_expectation(contest, t) - u_k, 0.0))
+
+        lo, hi = env.cumulative[k - 1], env.cumulative[k]
+        total += quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+    return total
+
+
+def _operator_error(env, ladders) -> float:
+    """Largest |operator - quad| / max(1, value) over the ladders."""
     values = _EffortOperator(env)(ladders)
     worst = 0.0
     for prizes, value in zip(ladders, values):
         contest = Contest(tuple(prizes.tolist()))
-        eqm = solve(env, contest)
-        ref = expected_effort(env, contest, eqm)
-        ref = expected_effort(env, contest, eqm, tol=1e-12 * max(1.0, ref))
+        ref = _quad_reference(env, contest, solve(env, contest))
         worst = max(worst, abs(value - ref) / max(1.0, ref))
     return worst
 
@@ -318,12 +383,21 @@ class TestEffortOperator:
 
     def test_batch_matches_one_ladder_at_a_time(self):
         rng = np.random.default_rng(233)
-        env = random_parametric_env(rng, 2.0, n_max=5, k_min=2)
-        ladders = _ladders_with_zeros(rng, env.n_others, 6)
-        operator = _EffortOperator(env)
-        batch = operator(ladders)
-        single = np.array([operator(row[None, :])[0] for row in ladders])
-        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+        tables = [[(0.0, 0.0), (0.2, 0.2 * s), (0.5, 0.8 * s), (1.0, 2.2 * s)] for s in (2.0, 1.0)]
+        cases = [
+            (random_parametric_env(rng, 2.0, n_max=5, k_min=2), 6),
+            (ContestEnvironment(
+                50, tuple(CostFunction.power(t, 2.0) for t in (2.0, 1.5, 1.0)), (0.3, 0.3, 0.4)
+            ), 50),
+            # per-ladder panels at the knots each ladder crosses
+            (ContestEnvironment(4, tuple(CostFunction.tabulated(t) for t in tables), (0.5, 0.5)), 8),
+        ]
+        for env, count in cases:
+            ladders = _ladders_with_zeros(rng, env.n_others, count)
+            operator = _EffortOperator(env)
+            # and blocks of panels: 50 ladders go one panel at a time, one ladder 32
+            single = [operator(row[None, :])[0] for row in ladders]
+            assert operator(ladders).tolist() == single
 
     def test_gradient_raises_where_the_first_band_is_float_empty(self):
         # the N-ladder env at N=1000: paying the top 120 ranks, pi(P_1) underflows,
@@ -339,3 +413,44 @@ class TestEffortOperator:
             with pytest.raises(NumericError, match="boundary points failed to increase at type 1"):
                 operator.gradient(ladders[0])
             assert np.all(np.isfinite(operator.gradient(ladders[1])))
+
+    def test_gradients_at_every_vertex_are_finite_or_raise_without_warnings(self):
+        # under a power base below 1 the nodes whose level clamps to 0 have an
+        # infinite marginal cost, and the sum drops them
+        env = ContestEnvironment(
+            200, tuple(CostFunction.power(t, 0.1) for t in (2.0, 1.0)), (0.5, 0.5)
+        )
+        operator = _EffortOperator(env)
+        finite = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(1, 201):
+                ladder = np.concatenate((np.zeros(j), np.full(201 - j, 1.0 / (201 - j))))
+                try:
+                    gradient = operator.gradient(ladder)
+                except NumericError:
+                    continue
+                assert np.all(np.isfinite(gradient))
+                finite += 1
+        assert finite > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_linear_expected_effort_is_alpha_dot_prizes_on_random_environments(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(1, 6), label="k")
+    steps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k), label="scale steps")
+    thetas = np.cumsum(steps)[::-1]
+    weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    env = ContestEnvironment(
+        n, tuple(CostFunction.linear(float(t)) for t in thetas), tuple(weights / weights.sum())
+    )
+    increment = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    increments = data.draw(st.lists(increment, min_size=n, max_size=n), label="increments")
+    prizes = np.concatenate(([0.0], np.cumsum(increments)))
+    if prizes[-1] == 0.0:
+        prizes[-1] = 1.0
+    contest = Contest(tuple(prizes.tolist()))
+    value = expected_effort(env, contest, solve(env, contest))
+    assert abs(value - alpha_coefficients(env).dot(contest)) <= 1e-12 * max(1.0, value)

@@ -1,22 +1,12 @@
-"""The bracketed root finder under every monotone inverse of the package, and
-the batched adaptive quadrature."""
+"""The bracketed root finder under every monotone inverse of the package."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad as scipy_quad
 
 import contestlab._quad as quad
-from contestlab import (
-    Contest,
-    ContestEnvironment,
-    CostFunction,
-    NumericError,
-    alpha_coefficients,
-    expected_effort,
-    solve,
-)
-from contestlab._quad import _monotone_inverse, adaptive
+from contestlab import NumericError
+from contestlab._quad import _monotone_inverse
 
 
 def _curve(weights, powers, lo, hi):
@@ -111,64 +101,3 @@ def test_a_bracket_left_open_at_the_step_cap_raises(monkeypatch):
     f = _curve((0.0, 1.0, 0.0), (30, 2), 0.0, 1.0)
     with pytest.raises(NumericError, match="3 steps"):
         _monotone_inverse(f, np.array([1e-20]), 0.0, 1.0, tol=1e-15)
-
-
-def _wiggle(t):
-    """Smooth but for a sqrt-type endpoint at 0, so some intervals need splitting."""
-    return np.sqrt(np.abs(t)) + np.sin(40.0 * t) / (1.0 + t * t)
-
-
-class TestAdaptive:
-    def test_an_array_call_equals_its_scalar_calls_bit_for_bit(self):
-        rng = np.random.default_rng(16)
-        a = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 40)))
-        b = a + np.concatenate(([1.0], rng.uniform(0.0, 3.0, 40)))
-        single = [adaptive(_wiggle, lo, hi, tol=1e-13) for lo, hi in zip(a, b)]
-        assert adaptive(_wiggle, a, b, tol=1e-13).tolist() == single
-        # whatever other intervals share the call
-        order = rng.permutation(a.size)
-        shuffled = adaptive(_wiggle, a[order], b[order], tol=1e-13)
-        assert shuffled.tolist() == [single[i] for i in order]
-        assert adaptive(_wiggle, a[::3], b[::3], tol=1e-13).tolist() == single[::3]
-
-    def test_a_scalar_call_returns_a_python_float(self):
-        value = adaptive(np.cos, 0.0, 1.0)
-        assert type(value) is float
-        assert value == pytest.approx(np.sin(1.0), abs=1e-15)
-
-    def test_empty_and_reversed_intervals_give_zero(self):
-        assert adaptive(np.cos, 1.0, 1.0) == 0.0
-        assert adaptive(np.cos, 2.0, 1.0) == 0.0
-        values = adaptive(np.cos, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
-        assert values.tolist() == [adaptive(np.cos, 0.0, 1.0), 0.0, 0.0]
-
-    def test_a_sqrt_singularity_stops_at_the_depth_cap(self, monkeypatch):
-        levels = []
-        real_panels = quad.gauss_panels
-
-        def panels(f, a, b):
-            levels.append(a.size)
-            return real_panels(f, a, b)
-
-        monkeypatch.setattr(quad, "gauss_panels", panels)
-        value = adaptive(np.sqrt, 0.0, 1.0, tol=1e-14, max_depth=32)
-        assert len(levels) == 33  # the whole panel's level and 32 of halves
-        assert value == pytest.approx(scipy_quad(np.sqrt, 0.0, 1.0, epsabs=1e-15)[0], abs=1e-15)
-
-    def test_a_level_past_the_panel_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(quad, "_LEVEL_PANELS", 4)
-        # far below the rounding of each panel, so every panel splits
-        with pytest.raises(NumericError, match="over 4 panels"):
-            adaptive(np.cos, 0.0, 1.0, tol=1e-30)
-
-    @pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-18])
-    def test_linear_expected_effort_is_alpha_dot_prizes(self, tol):
-        env = ContestEnvironment(
-            2, (CostFunction.linear(2.0), CostFunction.linear(1.0)), (0.5, 0.5)
-        )
-        contest = Contest((0.0, 0.25, 1.0))
-        value = expected_effort(env, contest, solve(env, contest), tol=tol)
-        # alpha . v is 9/32 exactly; its float dot product rounds to within 4 ulp
-        ulp = np.spacing(0.28125)
-        assert abs(alpha_coefficients(env).dot(contest) - 0.28125) <= 4.0 * ulp
-        assert abs(value - 0.28125) <= 2.0 * ulp
