@@ -5,17 +5,20 @@ Every public elementwise function of the package (of t, effort, cost level,
 type or quantile level) goes through _elementwise: it takes a scalar or an
 array of any shape, rejects NaN, infinities and points outside its interval,
 and returns the argument's shape, a scalar as a Python float. Internal
-loops, integrands and root finders call the unchecked cores instead.
+loops, integrands and root finders call the unchecked cores instead. Count
+arguments (atom counts, grid sizes, sample counts, seeds) go through
+_check_count, which takes Python and numpy integers only.
 
 The integrands fed through here are smooth except possibly at panel
 endpoints (segment breakpoints are never interior), so a 64-node rule per
 panel converges fast. Callers lay their panels out once and estimate the
 error by the same layout with every panel halved; nothing refines. The
-monotone inverses of the prize curve, the continuum strategies, the effort
-operator's knot crossings and the search's line steps run on
-_monotone_inverse, Chandrupatla's interpolating root finder; tabulated
-costs and tabulated continuum CDFs are _Pchip interpolants, which invert
-their own cubics by Newton's method.
+monotone inverses of the prize curve, the effort operator's knot crossings
+and the search's line steps run on _monotone_inverse, Chandrupatla's
+interpolating root finder. The continuum strategy, whose slope is its own
+integrand, inverts itself by safeguarded Newton steps; tabulated costs and
+tabulated continuum CDFs are _Pchip interpolants, which invert their own
+cubics by Newton's method.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 # temporaries small; larger blocks were slower and raised peak memory.
 _PANEL_BLOCK = 128
 
-# Cap on the steps of an element in _monotone_inverse, which raises
-# NumericError past it; bisection alone would need 50 to take [0, 1] down
-# to 1e-15.
+# Cap on the steps of an element in _monotone_inverse and in the continuum
+# strategy's inverse, which raise NumericError past it; bisection alone
+# would need 50 to take [0, 1] down to 1e-15.
 _ROOT_STEPS = 100
 
 
@@ -45,6 +48,17 @@ def _elementwise(core, x, lo: float, hi: float, name: str, error=ArgumentError):
         raise error(f"{name} must be finite and lie in [{lo:g}, {hi:g}], got {x!r}")
     out = core(arr.ravel())
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _check_count(name: str, value, least: int, shown: str) -> None:
+    """ArgumentError unless value is an integer, not a bool, and at least least.
+
+    shown is how least reads in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ArgumentError(f"{name} must be at least {shown}, got {value!r}")
 
 
 def gauss_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):

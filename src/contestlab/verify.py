@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import _check_count
 from .costs import ContestEnvironment
 from .equilibrium import Equilibrium, _check_solved, _draw, exante_cdf
-from .errors import ArgumentError
 from .kernels import _HORNER_BLOCK, Contest, _prize_curve
 
 _MC_CHUNK = 1 << 17
@@ -51,17 +51,6 @@ class VerificationReport:
     @property
     def worst_gap(self) -> float:
         return max(row.gap for row in self.gaps)
-
-
-def _check_count(name: str, value, least: int, shown: str) -> None:
-    """ArgumentError unless value is an integer, not a bool, and at least least.
-
-    shown is how least reads in the message.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ArgumentError(f"{name} must be at least {shown}, got {value!r}")
 
 
 def _sweeps(

@@ -600,7 +600,9 @@ class TestSchemaTable:
         assert "step" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("options", [{"grid_points": 0}, {"n_list": [16, 4]}])
+    @pytest.mark.parametrize(
+        "options", [{"grid_points": 0}, {"n_list": [16, 4]}, {"n_list": [0, 4]}]
+    )
     def test_converge_option_the_library_rejects_exits_4(
         self, tmp_path, capsys, front_end, options
     ):

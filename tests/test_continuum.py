@@ -1,8 +1,12 @@
 """Continuum equilibrium, quantile discretization, and CDF convergence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import contestlab.continuum as continuum
 from contestlab import (
@@ -131,6 +135,75 @@ class TestContinuumEffortCdf:
         top = convergence_report(cenv, contest, [4]).max_effort
         assert abs(top - np.log(2.0)) <= 1e-15
 
+    def test_closed_form_with_a_flat_top(self):
+        # winner-takes-all against 5 opponents, G(theta) = sqrt(theta - 1) on
+        # [1, 2]: h = 0 at the top type, where Newton's method alone crawls.
+        # With u = sqrt(theta - 1), s = 5 (F(1) - F(u)) for the antiderivative
+        # F of (1 - w)^4 / (1 + w^2), and the effort CDF at s(u) is 1 - u.
+        cenv, contest = _FLAT_TOP
+
+        def antiderivative(w):
+            return w**3 / 3.0 - 2.0 * w**2 + 5.0 * w - 4.0 * math.atan(w)
+
+        top = 50.0 / 3.0 - 5.0 * math.pi
+        xs = np.linspace(0.0, 1.05 * top, 513)
+        expected = [
+            1.0 - brentq(lambda u: 5.0 * (antiderivative(1.0) - antiderivative(u)) - x,
+                         0.0, 1.0, xtol=1e-16, rtol=1e-15)
+            if 0.0 < x < top else float(x > 0.0)
+            for x in xs
+        ]
+        values = continuum_effort_cdf(cenv, contest, xs)
+        assert np.max(np.abs(values - expected)) <= 1e-13
+
+    def test_a_point_still_moving_at_the_step_cap_raises(self, uniform_example, monkeypatch):
+        monkeypatch.setattr(continuum, "_ROOT_STEPS", 1)
+        cenv, contest = uniform_example
+        with pytest.raises(NumericError, match="strategy inverse"):
+            continuum_effort_cdf(cenv, contest, 0.2)
+
+    @pytest.mark.parametrize("case", ["flat top", "tabulated"])
+    def test_a_point_alone_matches_the_grid_bit_for_bit(self, case):
+        cenv, contest = _FLAT_TOP if case == "flat top" else (
+            ContinuumEnvironment.tabulated(1, [(1.0, 0.0), (1.4, 0.35), (1.7, 0.7), (2.0, 1.0)]),
+            Contest((0.0, 1.0)),
+        )
+        table = continuum._StrategyTable(cenv, contest)
+        xs = np.linspace(0.0, 1.05 * table.max_effort, 513)
+        together = table.effort_cdf(xs)
+        alone = np.concatenate([table.effort_cdf(xs[i : i + 1]) for i in range(xs.size)])
+        assert alone.tobytes() == together.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["uniform", "power", "tabulated"]),
+        shape=st.floats(0.3, 4.0),
+        knots=st.lists(st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)), min_size=2, max_size=4),
+        increments=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=8),
+        support=st.tuples(st.floats(0.2, 2.0), st.floats(0.1, 2.0)),
+    )
+    def test_the_effort_cdf_at_a_types_effort_is_its_upper_tail(
+        self, family, shape, knots, increments, support
+    ):
+        # the paper's identity for the pure strategy: a strictly increasing
+        # ladder makes s strictly decreasing, so P[s(theta') <= s(theta)] = 1 - G(theta)
+        lo, width = support
+        n = len(increments)
+        if family == "uniform":
+            cenv = ContinuumEnvironment.uniform(n, lo, lo + width)
+        elif family == "power":
+            cenv = ContinuumEnvironment.power(n, lo, lo + width, shape)
+        else:
+            steps = np.array(knots)
+            ts, gs = (np.cumsum(col) / col.sum() for col in steps.T)
+            points = [(lo, 0.0)] + [(lo + width * t, g) for t, g in zip(ts[:-1], gs[:-1])]
+            cenv = ContinuumEnvironment.tabulated(n, points + [(lo + width, 1.0)])
+        contest = Contest(tuple(np.concatenate(([0.0], np.cumsum(increments)))))
+        thetas = np.linspace(cenv.theta_lo, cenv.theta_hi, 65)
+        efforts = continuum_strategy(cenv, contest, thetas)
+        values = continuum_effort_cdf(cenv, contest, efforts)
+        assert np.max(np.abs(values - (1.0 - cenv.cdf(thetas)))) <= 1e-13
+
 
 class TestDistributionFamilies:
     def test_power_family_quantile_roundtrip(self):
@@ -194,6 +267,14 @@ class TestDiscretize:
             env = discretize(cenv, n)
             assert sum(env.probs) == pytest.approx(1.0, abs=1e-12)
             assert validate_environment(env).passed
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, 0])
+    def test_rejects_counts_that_are_not_positive_integers(self, uniform_example, n):
+        with pytest.raises(ArgumentError, match="n must be"):
+            discretize(uniform_example[0], n)
+
+    def test_accepts_numpy_integers(self, uniform_example):
+        assert discretize(uniform_example[0], np.int32(2)) == discretize(uniform_example[0], 2)
 
     def test_step_cdf_converges_pointwise(self, uniform_example):
         cenv, _ = uniform_example
@@ -262,6 +343,28 @@ class TestConvergence:
         with pytest.raises(ArgumentError):
             convergence_report(cenv, contest, [16, 4])
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"n_list": [4.7, 16]},
+            {"n_list": [True, 16]},
+            {"n_list": [0, 4]},
+            {"grid_points": 100.9},
+            {"grid_points": True},
+            {"grid_points": 1},
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, uniform_example, options):
+        cenv, contest = uniform_example
+        with pytest.raises(ArgumentError, match="must be"):
+            convergence_report(cenv, contest, **{"n_list": [4], **options})
+
+    def test_accepts_numpy_integers(self, uniform_example):
+        cenv, contest = uniform_example
+        report = convergence_report(cenv, contest, np.array([4, 16]), grid_points=np.int64(9))
+        assert report == convergence_report(cenv, contest, [4, 16], grid_points=9)
+        assert [type(n) for n, _ in report.entries] == [int, int]
+
     def test_solver_failures_carry_the_atom_count(self, uniform_example, monkeypatch):
         import contestlab.continuum as continuum_module
 
@@ -287,6 +390,9 @@ class TestFiniteContinuumAgreement:
             assert eqm.boundaries[k] == pytest.approx(
                 continuum_strategy(cenv, contest, theta_k), abs=5e-3
             )
+
+
+_FLAT_TOP = (ContinuumEnvironment.power(5, 1.0, 2.0, shape=0.5), Contest((0.0,) * 5 + (1.0,)))
 
 
 def _quad_strategy(cenv, contest, theta):
