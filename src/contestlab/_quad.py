@@ -1,5 +1,6 @@
 """Numeric primitives: the scalar/array convention, Gauss-Legendre panels,
-a vectorised bracketed root finder and the monotone cubic interpolant.
+a vectorised safeguarded Newton root finder and the monotone cubic
+interpolant.
 
 Every public elementwise function of the package (of t, effort, cost level,
 type or quantile level) goes through _elementwise: it takes a scalar or an
@@ -12,13 +13,14 @@ _check_count, which takes Python and numpy integers only.
 The integrands fed through here are smooth except possibly at panel
 endpoints (segment breakpoints are never interior), so a 64-node rule per
 panel converges fast. Callers lay their panels out once and estimate the
-error by the same layout with every panel halved; nothing refines. The
-monotone inverses of the prize curve, the effort operator's knot crossings
-and the search's line steps run on _monotone_inverse, Chandrupatla's
-interpolating root finder. The continuum strategy, whose slope is its own
-integrand, inverts itself by safeguarded Newton steps; tabulated costs and
-tabulated continuum CDFs are _Pchip interpolants, which invert their own
-cubics by Newton's method.
+error by the same layout with every panel halved; nothing refines. Every
+monotone inverse whose slope costs about as much as its value runs on
+_rtsafe, Newton's method safeguarded by bisection inside a bracket: the
+prize curve (slope N * dv . pmf(N-1)), the effort operator's knot crossings
+on that curve, and the continuum strategy (whose slope is -integrand).
+Tabulated costs and tabulated continuum CDFs are _Pchip interpolants, which
+invert their own cubics by a clipped Newton iteration that shares the
+cubic's Horner sums with its slope and needs no bracket updates.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 # temporaries small; larger blocks were slower and raised peak memory.
 _PANEL_BLOCK = 128
 
-# Cap on the steps of an element in _monotone_inverse and in the continuum
-# strategy's inverse, which raise NumericError past it; bisection alone
-# would need 50 to take [0, 1] down to 1e-15.
+# Cap on the steps of an element in _rtsafe, which raises NumericError past
+# it, and of the search's line step; bisection alone would need 50 to take
+# [0, 1] down to 1e-15.
 _ROOT_STEPS = 100
 
 
@@ -80,64 +82,49 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.nda
     return out
 
 
-def _monotone_inverse(f, y, lo, hi, tol: float = 0.0) -> np.ndarray:
-    """Solve f(x) = y elementwise, for f nondecreasing on [lo, hi].
+def _rtsafe(f, y, lo, hi, f_lo, f_hi, tol: float = 0.0) -> np.ndarray:
+    """Solve f(x) = y elementwise for f nondecreasing on [lo, hi], taking f_lo and f_hi there.
 
-    f maps an array of points to an array of values. Each element keeps a
-    bracket with f(lo) < y <= f(hi) and steps inside it by Chandrupatla's
-    method (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation
-    through its last three points where that interpolant is monotone,
-    bisection elsewhere, no derivatives. It stops once the bracket is at most
-    max(tol * max(1, |hi|), 4 ulp of hi) wide, so tol = 0 means float
-    resolution, and returns the bracket midpoint, or the point itself where f
-    equals y. A target at or beyond an end returns that end. Every update is
-    elementwise, so an element's result does not depend on which other
-    elements share the call. Raises NumericError if an element is still
-    wider than its tolerance after _ROOT_STEPS steps.
+    f(x, index) returns f and its slope at the moving elements index of the
+    flattened, broadcast arguments. A target at or beyond an end returns
+    that end; the others start at their bracket's chord and take the Newton
+    step where it lands inside the bracket and is at most half the one
+    before, else bisect (rtsafe, Numerical Recipes 9.4). An element stops,
+    within 2 room of the root, once f = y or its step or bracket is at most
+    room = max(tol * max(1, |x|), 4 ulp of x). Updates are elementwise, so a
+    result does not depend on the other elements; NumericError if one still
+    moves after _ROOT_STEPS steps.
     """
-    y = np.asarray(y, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), y.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), y.shape)
-    g_lo, g_hi = f(lo) - y, f(hi) - y
-    # a is the newest point, b the other end of the bracket, c the point a
-    # replaced; g is f - y, negative below the root
-    a, b, ga, gb = lo, hi, g_lo, g_hi
-    active = (g_lo < 0.0) & (g_hi > 0.0)
-    t = np.full(y.shape, 0.5)
-    for step in range(_ROOT_STEPS + 1):
-        width = np.abs(b - a)
-        top = np.abs(np.maximum(a, b))
-        room = np.maximum(tol * np.maximum(1.0, top), 4.0 * np.spacing(top))
-        active &= (ga != 0.0) & (width > room)
-        if not active.any():
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, lo, hi, f_lo, f_hi)))
+    y, lo, hi, f_lo, f_hi = (v.ravel() for v in args)
+    out = np.where(y <= f_lo, lo, hi)
+    index = np.flatnonzero((f_lo < y) & (y < f_hi))
+    y, a, b = y[index], lo[index], hi[index]
+    z = a + (y - f_lo[index]) / (f_hi[index] - f_lo[index]) * (b - a)
+    last = b - a
+    for _ in range(_ROOT_STEPS):
+        if not index.size:
             break
-        if step == _ROOT_STEPS:
-            worst = float(np.max(np.where(active, width / room, 0.0)))
-            raise NumericError(
-                f"root finder left a bracket {worst:.3g} times its tolerance"
-                f" after {_ROOT_STEPS} steps"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            edge = 0.5 * room / width
-            x = np.where(active, a + np.clip(t, edge, 1.0 - edge) * (b - a), a)
-            g = f(x) - y
-            flipped = active & ((g < 0.0) != (ga < 0.0))
-            c, gc = np.where(flipped, b, a), np.where(flipped, gb, ga)
-            b, gb = np.where(flipped, a, b), np.where(flipped, ga, gb)
-            a, ga = np.where(active, x, a), np.where(active, g, ga)
-            # the inverse quadratic through (g, x) at a, b and c is monotone
-            # between a and b exactly when these hold (Chandrupatla, eq. 1)
-            xi = (a - b) / (c - b)
-            phi = (ga - gb) / (gc - gb)
-            quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(
-                quadratic,
-                ga / (gb - ga) * gc / (gb - gc)
-                + (c - a) / (b - a) * ga / (gc - ga) * gb / (gc - gb),
-                0.5,
-            )
-    inside = np.where(ga == 0.0, a, 0.5 * (a + b))
-    return np.where(g_lo >= 0.0, lo, np.where(g_hi <= 0.0, hi, inside))
+        value, slope = f(z, index)
+        g = value - y
+        a, b = np.where(g < 0.0, z, a), np.where(g > 0.0, z, b)
+        with np.errstate(divide="ignore", over="ignore"):
+            step = np.divide(g, slope, out=np.zeros_like(g), where=g != 0.0)
+        newton, top = z - step, np.abs(z)
+        room = np.maximum(tol * np.maximum(1.0, top), 4.0 * np.spacing(top))
+        # a Newton step within room (zero where f = y, even at a zero slope) ends
+        # the element, since the far end of a one-sided bracket never moves
+        small = np.abs(step) <= room
+        take = (newton > a) & (newton < b) & (np.abs(step) <= 0.5 * last)
+        new = np.where(small, np.clip(newton, a, b), np.where(take, newton, 0.5 * (a + b)))
+        last = np.abs(new - z)
+        done = small | (b - a <= room)
+        out[index[done]] = new[done]
+        index, y, z, a, b, last = (v[~done] for v in (index, y, new, a, b, last))
+    if index.size:
+        width = float(np.max(b - a))
+        raise NumericError(f"root finder left a bracket {width:.3g} wide after {_ROOT_STEPS} steps")
+    return out.reshape(args[0].shape)
 
 
 # _Pchip.inverse takes its first guess from a grid of this many uniform
@@ -150,8 +137,8 @@ _GRID_STEPS = 32
 # end interval: ratio 2**-0.5 down to 2**-48 of a uniform step.
 _GRADED = 2.0 ** (-np.arange(1, 97) / 2) / _GRID_STEPS
 
-# Cap on the Newton steps of an element in _Pchip.inverse, reached only by
-# a root closer to a zero-slope end knot than the graded grid reaches.
+# Cap on the Newton steps of an element in _Pchip.inverse, which raises
+# NumericError past it.
 _NEWTON_STEPS = 100
 
 _TINY = np.finfo(float).tiny
@@ -193,9 +180,8 @@ class _Pchip:
         self._c3 = np.append(excess / h, 0.0)
         self._c2 = np.append((secant - d[:-1]) / h - excess, 0.0)
 
-        # Starting points for inverse. Between neighbouring grid points the
-        # cubic has one sign of curvature, so from the chord Newton's method
-        # stays on one side of the root after its first step.
+        # Starting points for inverse: between neighbouring grid points the
+        # cubic has one sign of curvature.
         with np.errstate(divide="ignore", invalid="ignore"):
             bend = -self._c2[:-1] / (3.0 * self._c3[:-1])
         bent = (bend > 0.0) & (bend < h)
@@ -230,13 +216,13 @@ class _Pchip:
     def inverse(self, v: np.ndarray) -> np.ndarray:
         """The t >= x[0] at which the interpolant takes each value v >= y[0].
 
-        The grid values locate v between two neighbouring grid points, whose
-        chord gives the first guess; Newton's method on the cubic of the
-        owning interval, clipped to those two points, then converges from
-        one side. Beyond the last knot the first guess is already the
-        inverse of the line. An element is frozen once its value is within
-        4 ulp of v or its step within 4 ulp of t, so its result does not
-        depend on which other elements share the call.
+        Newton's method on the cubic of the owning interval, clipped to the
+        two grid points around v, converges from one side. It starts at
+        their chord, or next to a knot of zero slope, where the cubic rises
+        like c2 dx^2 below the graded grid, at the root of that term. An
+        element is frozen once its value is within 4 ulp of v or its step
+        within 4 ulp of t, so its result does not depend on the others;
+        NumericError if one still moves after _NEWTON_STEPS steps.
         """
         j = np.searchsorted(self._grid_values, v, side="right") - 1
         lo, hi = self._grid[j], self._grid_next[j]
@@ -244,6 +230,9 @@ class _Pchip:
         i = self._grid_owner[j]
         start, rise = self.x[i], v - self.y[i]
         c3, c2, c1 = self._c3[i], self._c2[i], self.d[i]
+        if not self.d.all():  # a knot of zero slope; fmax takes lo where rise / c2 is 0 / 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(c1 == 0.0, np.fmin(np.fmax(start + np.sqrt(rise / c2), lo), hi), t)
         value_tol = 4.0 * np.spacing(v)
         frozen = np.zeros(v.shape, dtype=bool)
         with np.errstate(over="ignore"):  # f / _TINY where the slope vanishes
@@ -259,5 +248,5 @@ class _Pchip:
                 t = np.where(frozen, t, np.minimum(np.maximum(t - step, lo), hi))
                 frozen |= np.abs(step) <= 4.0 * np.spacing(t)
                 if frozen.all():
-                    break
-        return t
+                    return t
+        raise NumericError(f"cubic inverse still moving after {_NEWTON_STEPS} Newton steps")

@@ -7,8 +7,7 @@ probability, weighted by the type density over the marginal cost. Quantile
 discretizations of the type CDF produce finite environments whose mixed
 equilibria converge to this pure one, which this module measures. The
 strategy is tabulated once per contest on fixed Gauss panels, each checked
-against its two halves, and inverted by Newton's method on its own
-integrand, safeguarded by bisection.
+against its two halves, and inverted by _quad._rtsafe.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import _ROOT_STEPS, _check_count, _Pchip, _elementwise, gauss_panels
+from ._quad import _check_count, _Pchip, _elementwise, _rtsafe, gauss_panels
 from .costs import ContestEnvironment, CostFunction
 from .equilibrium import exante_cdf, solve
 from .errors import ArgumentError, ContestError, NumericError
@@ -150,10 +149,9 @@ class _StrategyTable:
     if the halves and the wholes differ by more than 1e-11 * max(1, |total|)
     in sum. Reverse cumulative sums give the tail beyond every edge, so s at
     any theta is the tail beyond its panel plus one Gauss panel from theta to
-    the panel's right edge, and its slope is -h; effort_cdf inverts s by
-    safeguarded Newton steps inside each effort's table panel.
-    Power shapes below 1 integrate in the quantile variable q = G(t),
-    cancelling the density's singularity at theta_lo: h dt = pi'(1-q)/Q(q) dq.
+    the panel's right edge, and its slope is -h. Power shapes below 1
+    integrate in the quantile variable q = G(t), cancelling the density's
+    singularity at theta_lo: h dt = pi'(1-q)/Q(q) dq.
     """
 
     def __init__(self, cenv: ContinuumEnvironment, contest: Contest):
@@ -198,58 +196,25 @@ class _StrategyTable:
     def effort_cdf(self, x: np.ndarray) -> np.ndarray:
         """P[s(theta) <= x]: one minus the type CDF at the inverse strategy.
 
-        Each x in (0, max_effort) is bracketed in its table panel, the j with
-        tail[j] > x >= tail[j+1], and starts at the chord through the
-        panel's tabulated ends. Each step evaluates s by one Gauss panel
-        over panel j and its slope -h by one integrand value, shrinks the
-        bracket by the sign of s - x and takes the Newton step (s - x) / h
-        where it lands inside the bracket and is at most half the step
-        before it; elsewhere, as where h vanishes at a flat end, it bisects
-        (rtsafe, Numerical Recipes 9.4). A point stops once s equals x or its
-        step or bracket is at most 4 ulp of z, and only moving points are
-        evaluated. Every update is elementwise, so a point's result does not
-        depend on the others in the call. Raises NumericError if a point is
-        still moving after _ROOT_STEPS steps.
+        _quad._rtsafe solves -s(z) = -x for each x in (0, max_effort) in its
+        table panel j, tail[j] > x >= tail[j+1]: a step costs one Gauss panel
+        for s and one integrand value for its slope -h.
         """
         out = np.where(x <= 0.0, 0.0, 1.0)
         inside = (x > 0.0) & (x < self.max_effort)
         x = x[inside]
         j = np.clip(np.searchsorted(-self.tail, -x) - 1, 0, self.edges.size - 2)
-        a, b, base = self.edges[j], self.edges[j + 1], self.tail[j + 1]
-        # the chord through (a, tail[j]) and (b, tail[j+1]); rounding can
-        # leave an x in [tail[0], max_effort), which fmax starts at a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chord = np.fmax((self.tail[j] - x) / (self.tail[j] - base), 0.0)
-        z = a + chord * (b - a)
-        last, right = b - a, b
-        index = np.arange(x.size)
-        root = np.empty_like(x)
-        for _ in range(_ROOT_STEPS):
-            if index.size == 0:
-                break
-            g = base + gauss_panels(self._integrand, z, right) - x
-            a, b = np.where(g > 0.0, z, a), np.where(g < 0.0, z, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.divide(g, self._integrand(z), out=np.zeros_like(g), where=g != 0.0)
-            newton, room = z + step, 4.0 * np.spacing(z)
-            # a Newton step within rounding (zero where s = x, even at h = 0)
-            # ends the point wherever it lands, since the far end of a
-            # one-sided bracket never moves
-            small = np.abs(step) <= room
-            take = (newton > a) & (newton < b) & (np.abs(step) <= 0.5 * last)
-            new = np.where(small, np.clip(newton, a, b), np.where(take, newton, 0.5 * (a + b)))
-            last = np.abs(new - z)
-            done = small | (b - a <= room)
-            root[index[done]] = new[done]
-            going = ~done
-            index, x, z, a, b, last, right, base = (
-                v[going] for v in (index, x, new, a, b, last, right, base)
-            )
-        if index.size:
-            raise NumericError(
-                f"strategy inverse left a bracket {float(np.max(b - a)):.3g} wide"
-                f" after {_ROOT_STEPS} steps"
-            )
+
+        def rising(z: np.ndarray, index: np.ndarray):  # -s and its slope h
+            right = j[index] + 1
+            s = self.tail[right] + gauss_panels(self._integrand, z, self.edges[right])
+            return -s, self._integrand(z)
+
+        ends = self.edges[j], self.edges[j + 1], -self.tail[j], -self.tail[j + 1]
+        try:
+            root = _rtsafe(rising, -x, *ends)
+        except NumericError as exc:
+            raise NumericError(f"strategy inverse: {exc}") from None
         out[inside] = 1.0 - (root if self.in_quantiles else self.cenv._cdf(root))
         return out
 
@@ -274,11 +239,9 @@ def continuum_strategy(cenv: ContinuumEnvironment, contest: Contest, theta):
 def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
     """CDF of equilibrium effort: one minus the type CDF at the inverse strategy.
 
-    The strategy is strictly decreasing, so its inverse is recovered to float
-    resolution for all of x at once by Newton's method on the strategy table,
-    whose slope is the integrand, safeguarded by bisection inside each x's
-    table panel; below zero the CDF is 0 and above the lowest type's effort
-    it is 1.
+    The strategy is strictly decreasing, and _StrategyTable.effort_cdf
+    inverts it to float resolution for all of x at once; below zero the CDF
+    is 0 and above the lowest type's effort it is 1.
     """
     return _elementwise(
         lambda arr: _StrategyTable(cenv, contest).effort_cdf(arr), x, -np.inf, np.inf, "effort"
@@ -321,13 +284,12 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Measure sup |F_n - F| over x_grid for each atom count in n_list.
 
-    The continuum CDF F is computed once on the whole grid: the strategy is
-    tabulated as cumulative panel integrals and inverted for every grid
-    point at once by safeguarded Newton steps inside its table panel. For
-    each n the continuum CDF is then discretized, the finite equilibrium is
-    solved, and its population effort CDF is compared pointwise against F.
-    Solver failures are re-raised with the offending n attached. The default
-    grid covers the effort support with a 5% overshoot and grid_points points.
+    The continuum CDF F is computed once on the whole grid from one
+    _StrategyTable. For each n the continuum CDF is discretized, the finite
+    equilibrium is solved, and its population effort CDF is compared
+    pointwise against F. Solver failures are re-raised with the offending n
+    attached. The default grid covers the effort support with a 5% overshoot
+    and grid_points points.
     """
     ns = list(n_list)
     for n in ns:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _monotone_inverse
+from ._quad import _ROOT_STEPS
 from .costs import ContestEnvironment
 from .effort import QUAD_TOL, _EffortOperator, _fold
 from .equilibrium import solve
@@ -103,6 +103,37 @@ def _scored(env: ContestEnvironment, operator: _EffortOperator, contests: list) 
     return [(contest, 0.0 if contest.degenerate else next(values)) for contest in contests]
 
 
+def _line_step(f, hi: float) -> float:
+    """The step in [0, hi] where the nondecreasing f, evaluated at 0 and hi first, crosses 0.
+
+    f has no slope: Chandrupatla's method (Adv. Eng. Softw. 28, 1997) to a bracket of
+    max(1e-15 * max(1, |b|), 4 ulp of b), NumericError after _ROOT_STEPS steps.
+    """
+    a, b, t = 0.0, hi, 0.5
+    ga, gb = f(a), f(b)
+    if ga >= 0.0 or gb <= 0.0:
+        return a if ga >= 0.0 else b
+    for step in range(_ROOT_STEPS + 1):
+        width, top = abs(b - a), abs(max(a, b))
+        room = max(1e-15 * max(1.0, top), 4.0 * np.spacing(top))
+        if ga == 0.0 or width <= room:
+            return a if ga == 0.0 else 0.5 * (a + b)
+        if step == _ROOT_STEPS:
+            raise NumericError(f"line step left a bracket {width:.3g} wide after {step} steps")
+        x = a + min(max(t, 0.5 * room / width), 1.0 - 0.5 * room / width) * (b - a)
+        g = f(x)
+        # a is the newest point, b the other end of the bracket, c the point a replaced
+        b, c, gb, gc = (a, b, ga, gb) if (g < 0.0) != (ga < 0.0) else (b, a, gb, ga)
+        a, ga = x, g
+        # the inverse quadratic through a, b and c is monotone between a and b
+        # exactly when these hold (Chandrupatla, eq. 1)
+        xi, phi = (a - b) / (c - b), (ga - gb) / (gc - gb)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = ga / (gb - ga) * gc / (gb - gc)
+            t += (c - a) / (b - a) * ga / (gc - ga) * gb / (gc - gb)
+
+
 def _frank_wolfe(operator: _EffortOperator, scored: list, budget: float):
     """Pairwise Frank-Wolfe over the full-budget face, from its best vertex in scored.
 
@@ -135,11 +166,11 @@ def _frank_wolfe(operator: _EffortOperator, scored: list, budget: float):
         away = int(active[np.argmin(slopes[active])])
         move, direction = np.eye(n)[toward] - np.eye(n)[away], corners[toward] - corners[away]
 
-        def falling(step: np.ndarray) -> np.ndarray:  # step 0 is x, whose gradient is g
-            at = g if step[0] == 0.0 else operator.gradient(ladder(weights + step[0] * move))
+        def falling(step: float) -> float:  # step 0 is x, whose gradient is g
+            at = g if step == 0.0 else operator.gradient(ladder(weights + step * move))
             return -direction @ at
 
-        step = _monotone_inverse(falling, np.zeros(1), 0.0, weights[away], tol=1e-15)[0]
+        step = _line_step(falling, weights[away])
         # at step == weights[away] this drops the away vertex: its weight becomes exactly 0
         weights = weights + step * move
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _NODES, _WEIGHTS, _monotone_inverse
+from ._quad import _NODES, _WEIGHTS, _rtsafe
 from .costs import TABULATED, ContestEnvironment
 from .equilibrium import Equilibrium, _check_solved, _forward
 from .errors import ArgumentError, CapabilityError, NumericError
@@ -140,7 +140,7 @@ class _EffortOperator:
     A tabulated type's inverse has second-derivative jumps where the cost
     level crosses a table knot, at win probabilities that move with the
     ladder. Its segment's panels are split there for each ladder, so every
-    panel integrates a smooth piece; the crossings come from one root-finder
+    panel integrates a smooth piece; the crossings come from one _rtsafe
     call on the prize curve for all knots, segments and ladders of a call.
 
     Nothing is checked per ladder: callers validate the environment once and
@@ -177,11 +177,17 @@ class _EffortOperator:
         owner, targets = owner[crossed], targets[:, crossed]
         if not owner.size:
             return edges
+        rises = n * np.diff(ladders, axis=1)
+
+        def curve(ts: np.ndarray, index: np.ndarray):  # each crossing on its own ladder's curve
+            rows = index // owner.size
+            return (np.einsum("mn,nm->m", ladders[rows], _pmf_rows(n, ts)),
+                    np.einsum("mn,nm->m", rises[rows], _pmf_rows(n - 1, ts)))
+
         # a crossing off by d moves the node sum by about d^2 (the integrand of
-        # the gradient has a kink there), so a bracket of 1e-10 is far below rounding
-        crossings = _monotone_inverse(
-            lambda ts: _curve(ladders, _pmf_at(n, ts)),
-            targets, cuts[owner], cuts[owner + 1], tol=1e-10,
+        # the gradient has a kink there), so a step of 1e-10 is far below rounding
+        crossings = _rtsafe(
+            curve, targets, cuts[owner], cuts[owner + 1], pis[:, owner], pis[:, owner + 1], 1e-10
         )
         for k in np.unique(owner):
             fixed = np.broadcast_to(self._edges[k], (ladders.shape[0], self._edges[k].size))

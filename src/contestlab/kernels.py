@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._quad import _elementwise, _monotone_inverse
+from ._quad import _elementwise, _rtsafe
 from .errors import ArgumentError, DomainError
 
 # Largest N at which _ladder_dot runs Horner's rule: past N = 1022 the factor
@@ -308,13 +308,12 @@ def _prize_slope(contest: Contest, arr: np.ndarray) -> np.ndarray:
 def prize_expectation_inverse(contest: Contest, y):
     """Win probability t at which the expected prize equals y.
 
-    Bracketed root finding on [0, 1] to 1e-15 in t, by interpolation that
-    needs no slope (_quad._monotone_inverse): the curve is strictly
-    increasing on (0, 1) whenever the top prize is positive, but its slope
-    may vanish at the endpoints, which rules out Newton steps. Accepts a
-    scalar or an array of target values; targets within 1e-12 * max(1, top
-    prize) outside [0, top prize] are clipped to it, and farther ones raise
-    DomainError.
+    Newton steps on the curve and its slope inside a cell of a fixed grid of
+    the curve, safeguarded by bisection where the slope vanishes at t = 0 or
+    1 (_quad._rtsafe), to the curve's own resolution, max(1e-15, N * 2^-52)
+    in t. Accepts a scalar or an array of target values; targets within
+    1e-12 * max(1, top prize) outside [0, top prize] are clipped to it, and
+    farther ones raise DomainError.
     """
     if contest.degenerate:
         raise DomainError("expected prize is constant for an all-zero contest")
@@ -326,13 +325,26 @@ def prize_expectation_inverse(contest: Contest, y):
     )
 
 
+_INVERSE_GRID = np.linspace(0.0, 1.0, 65)
+
+
 def _prize_inverse(contest: Contest, arr: np.ndarray) -> np.ndarray:
     """prize_expectation_inverse for targets in [0, top prize], top prize > 0.
 
-    The curve is exact at both ends, so the root finder returns 0 and 1 for
-    the targets 0 and top prize.
+    A target y starts in the cell of _INVERSE_GRID whose curve values have
+    v_j < y <= v_{j+1} (from the chord of all of [0, 1], steep ladders at
+    N = 200 took twice the passes), so 0 returns 0. The top prize returns 1,
+    not the start of a plateau that rounds to it.
     """
-    return _monotone_inverse(lambda t: _prize_curve(contest, t), arr, 0.0, 1.0, tol=1e-15)
+    values, below = _prize_curve(contest, _INVERSE_GRID), arr < contest.top_prize
+    # the top prize goes to the last cell, which ends it without a step
+    j = np.where(below, np.searchsorted(values, arr) - 1, _INVERSE_GRID.size - 2).clip(0)
+    t = _rtsafe(
+        lambda ts, index: (_prize_curve(contest, ts), _prize_slope(contest, ts)),
+        arr, _INVERSE_GRID[j], _INVERSE_GRID[j + 1], values[j], values[j + 1],
+        max(1e-15, contest.n_opponents * 2.0**-52),
+    )
+    return np.where(below, t, 1.0)
 
 
 def type_prize_integral(env, contest: Contest, k: int) -> float:

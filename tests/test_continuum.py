@@ -157,7 +157,7 @@ class TestContinuumEffortCdf:
         assert np.max(np.abs(values - expected)) <= 1e-13
 
     def test_a_point_still_moving_at_the_step_cap_raises(self, uniform_example, monkeypatch):
-        monkeypatch.setattr(continuum, "_ROOT_STEPS", 1)
+        monkeypatch.setattr("contestlab._quad._ROOT_STEPS", 1)
         cenv, contest = uniform_example
         with pytest.raises(NumericError, match="strategy inverse"):
             continuum_effort_cdf(cenv, contest, 0.2)

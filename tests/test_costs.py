@@ -10,6 +10,7 @@ from contestlab import (
     Contest,
     ContestEnvironment,
     CostFunction,
+    NumericError,
     cost_eval,
     cost_inverse,
     validate_environment,
@@ -239,6 +240,21 @@ class TestMonotoneCubic:
             ys = np.concatenate((cs, [0.0, 1e-300], rng.uniform(0.0, 1.5 * cs[-1], 64)))
             xs_out = cost_inverse(cf, ys)
             assert [float(x) for x in xs_out] == [cost_inverse(cf, float(y)) for y in ys]
+
+    def test_levels_far_below_the_grid_at_a_flat_first_knot(self):
+        # the first knot's slope clips to 0, so the cost rises like c2 x^2 from
+        # it and the graded grid ends near x = 1e-16: the levels below start at
+        # the root of that quadratic term, not from the grid
+        cf = CostFunction.tabulated([(0.0, 0.0), (1.0, 0.01), (2.0, 1.0)])
+        ys = np.array([1e-100, 1e-200, 1e-300])
+        xs = cost_inverse(cf, ys)
+        np.testing.assert_allclose(cost_eval(cf, xs), ys, rtol=1e-12, atol=0.0)
+
+    def test_a_level_still_moving_at_the_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("contestlab._quad._NEWTON_STEPS", 1)
+        cf = CostFunction.tabulated([(0.0, 0.0), (1.0, 0.01), (2.0, 1.0)])
+        with pytest.raises(NumericError, match="after 1 Newton steps"):
+            cost_inverse(cf, 0.5)
 
 
 class TestContestEnvironment:

@@ -228,7 +228,7 @@ class TestFrankWolfe:
         env = ContestEnvironment(
             20, tuple(CostFunction.power(t, 2.0) for t in (2.0, 1.5, 1.0)), (0.3, 0.3, 0.4)
         )
-        real_gradient, real_inverse = _EffortOperator.gradient, design._monotone_inverse
+        real_gradient, real_line_step = _EffortOperator.gradient, design._line_step
         taken = []  # (operator, ladder, gradient) for each gradient taken
         steps = []  # (step, gradients taken) for each line-search evaluation
 
@@ -236,17 +236,17 @@ class TestFrankWolfe:
             taken.append((self, ladder.copy(), real_gradient(self, ladder)))
             return taken[-1][2]
 
-        def inverse(f, y, lo, hi, tol=0.0):
+        def line_step(f, hi):
             def counted(step):
                 before = len(taken)
                 value = f(step)
-                steps.append((step[0], len(taken) - before))
+                steps.append((step, len(taken) - before))
                 return value
 
-            return real_inverse(counted, y, lo, hi, tol)
+            return real_line_step(counted, hi)
 
         monkeypatch.setattr(_EffortOperator, "gradient", gradient)
-        monkeypatch.setattr(design, "_monotone_inverse", inverse)
+        monkeypatch.setattr(design, "_line_step", line_step)
         solution = optimize_budget(env, 1.0, mode="vertex_plus_search")
         searches = sum(step == 0.0 for step, _ in steps)
         assert searches > 10
@@ -258,6 +258,14 @@ class TestFrankWolfe:
         # a re-taken gradient would be bit-identical, so the path is unchanged
         for operator, ladder, g in taken:
             assert real_gradient(operator, ladder).tobytes() == g.tobytes()
+
+    def test_a_line_step_still_open_at_the_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(design, "_ROOT_STEPS", 1)
+        env = ContestEnvironment(
+            20, tuple(CostFunction.power(t, 2.0) for t in (2.0, 1.5, 1.0)), (0.3, 0.3, 0.4)
+        )
+        with pytest.raises(NumericError, match="line step .* after 1 steps"):
+            optimize_budget(env, 1.0, mode="vertex_plus_search")
 
     def test_mixed_powers_reach_a_stationary_point(self):
         env = ContestEnvironment(

@@ -342,6 +342,13 @@ class TestEffortOperator:
         env = ContestEnvironment(4, tuple(CostFunction.tabulated(t) for t in tables), (0.5, 0.5))
         assert _operator_error(env, _ladders_with_zeros(rng, 4, 8)) <= 1e-12
 
+    def test_a_knot_crossing_still_moving_at_the_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("contestlab._quad._ROOT_STEPS", 1)
+        tables = [[(0.0, 0.0), (0.2, 0.2 * s), (0.5, 0.8 * s), (1.0, 2.2 * s)] for s in (2.0, 1.0)]
+        env = ContestEnvironment(4, tuple(CostFunction.tabulated(t) for t in tables), (0.5, 0.5))
+        with pytest.raises(NumericError, match="after 1 steps"):
+            _EffortOperator(env)(np.array([[0.0, 0.0, 0.5, 1.0, 2.0]]))
+
     def test_mixed_kind_types(self):
         rng = np.random.default_rng(229)
         table = [(0.0, 0.0), (0.2, 0.5), (0.5, 1.4), (1.0, 3.2)]

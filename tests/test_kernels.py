@@ -1,6 +1,7 @@
 """Binomial kernels, the expected-prize curve, and the Lorenz comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from contestlab import (
     Contest,
     ContinuumEnvironment,
     DomainError,
+    NumericError,
     binom_pmf,
     binom_tail,
     competition_effect_numeric,
@@ -427,9 +429,10 @@ class TestPrizeExpectationInverse:
         ids=["linear", "quadratic", "top_10", "winner_takes_all"],
     )
     def test_a_third_of_the_bisection_steps_at_n_200(self, prizes, monkeypatch):
-        # bisection takes 50 steps to bring [0, 1] down to 1e-15; the
-        # interpolating root finder calls the curve at most 17 times, its two
-        # end evaluations included, on targets spread in prize and in t
+        # bisection takes 50 steps to bring [0, 1] down to 1e-15; the Newton
+        # steps from each target's grid cell take at most 17 curve and slope
+        # passes, the grid's included, over at most 1,000 points for 126
+        # targets spread in prize and in t
         import contestlab.kernels as kernels
 
         contest = Contest(tuple(prizes))
@@ -442,14 +445,41 @@ class TestPrizeExpectationInverse:
         )
         calls = []
 
-        def counted(contest, t):
-            calls.append(t.size)
-            return curve(contest, t)
+        def counted(real):
+            def pass_(contest, t):
+                calls.append(t.size)
+                return real(contest, t)
 
-        monkeypatch.setattr(kernels, "_prize_curve", counted)
+            return pass_
+
+        monkeypatch.setattr(kernels, "_prize_curve", counted(curve))
+        monkeypatch.setattr(kernels, "_prize_slope", counted(kernels._prize_slope))
         ts = kernels._prize_inverse(contest, ys.copy())
         assert len(calls) <= 17
+        assert sum(calls) <= 1000
         np.testing.assert_allclose(curve(contest, ts), ys, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "prizes",
+        [[0.0] + [1.0] * 200, [0.0] * 200 + [1.0]],
+        ids=["flat_top", "winner_takes_all"],
+    )
+    def test_steep_ladders_at_n_200(self, prizes):
+        # over whole grid cells the curve underflows to 0 (winner-takes-all,
+        # t^200) or is the top prize to rounding (flat top); no target is
+        # bracketed there, and no step may warn of a vanishing slope
+        contest = Contest(tuple(prizes))
+        ys = np.linspace(0.0, contest.top_prize, 513)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = prize_expectation_inverse(contest, ys)
+        assert ts[0] == 0.0 and ts[-1] == 1.0
+        np.testing.assert_allclose(prize_expectation(contest, ts), ys, rtol=0.0, atol=1e-13)
+
+    def test_a_target_still_moving_at_the_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("contestlab._quad._ROOT_STEPS", 1)
+        with pytest.raises(NumericError, match="after 1 steps"):
+            prize_expectation_inverse(Contest((0.0, 0.2, 0.3, 1.1)), 0.3)
 
 
 class TestTypePrizeIntegral:
