@@ -1,5 +1,7 @@
 """Equilibrium, effort, and prize-design toolkit for rank-order all-pay contests."""
 
+from types import ModuleType as _ModuleType
+
 from .competition import (
     Classification,
     CompetitionQuery,
@@ -76,65 +78,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaVector",
-    "ArgumentError",
-    "BestResponseReport",
-    "BudgetSolution",
-    "CapabilityError",
-    "Classification",
-    "CompetitionQuery",
-    "CompetitionReport",
-    "Contest",
-    "ContestEnvironment",
-    "ContestError",
-    "ContinuumEnvironment",
-    "ConvergenceReport",
-    "CostFunction",
-    "DomainError",
-    "Equilibrium",
-    "FeasibleSet",
-    "LambdaProfile",
-    "MonteCarloReport",
-    "NumericError",
-    "TransferSign",
-    "ValidationReport",
-    "VerificationReport",
-    "alpha_coefficients",
-    "attach_numeric_estimate",
-    "best_response_gap",
-    "binary_transfer_sign",
-    "binom_pmf",
-    "binom_tail",
-    "boundaries_closed_form",
-    "classify",
-    "competition_effect_linear",
-    "competition_effect_numeric",
-    "continuum_effort_cdf",
-    "continuum_strategy",
-    "convergence_report",
-    "cost_eval",
-    "cost_inverse",
-    "discretize",
-    "enumerate_vertices",
-    "exante_cdf",
-    "expected_cost",
-    "expected_effort",
-    "expected_effort_per_type",
-    "is_more_competitive",
-    "lambda_profile",
-    "monte_carlo_effort",
-    "optimize_budget",
-    "prize_expectation",
-    "prize_expectation_derivative",
-    "prize_expectation_inverse",
-    "sample",
-    "solve",
-    "type_cdf",
-    "type_index",
-    "type_prize_integral",
-    "utilities_closed_form",
-    "utility_gradient",
-    "verification_report",
-    "validate_environment",
-]
+# the public API is the names imported above; the submodules they bind are not part of it
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

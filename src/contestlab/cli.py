@@ -649,12 +649,8 @@ def _cmd_verify(config: RunConfig):
         },
     }
     rows = tuple((g.type_index, g.gap, g.on_support_residual) for g in audit.gaps)
-    return (
-        results,
-        ("type", "gap", "on_support_residual"),
-        rows,
-        f"max_gap={audit.worst_gap:.3g}",
-    )
+    header = ("type", "gap", "on_support_residual")
+    return results, header, rows, f"max_gap={audit.worst_gap:.3g}"
 
 
 def _cmd_converge(config: RunConfig):
@@ -767,17 +763,19 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="contestlab", description="Run a contest analysis described by a config file."
+)
+_PARSER.add_argument("config", help="path to a sectioned key-value or JSON config")
+_PARSER.add_argument("--jobs", type=int, default=None, help="ignored; runs are serial")
+_PARSER.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
+_PARSER.add_argument("--out", default=None, help="report path ('-' for stdout)")
+_PARSER.add_argument("--seed", type=int, default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="contestlab",
-        description="Run a contest analysis described by a config file.",
-    )
-    parser.add_argument("config", help="path to a sectioned key-value or JSON config")
-    parser.add_argument("--jobs", type=int, default=None, help="ignored; runs are serial")
-    parser.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
-    parser.add_argument("--out", default=None, help="report path ('-' for stdout)")
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         config = load_config(args.config)

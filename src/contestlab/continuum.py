@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from ._quad import _check_count, _Pchip, _elementwise, _rtsafe, gauss_panels
-from .costs import ContestEnvironment, CostFunction
-from .equilibrium import exante_cdf, solve
+from .costs import ContestEnvironment, CostFunction, _cumulative, _ScaledFamily
+from .equilibrium import _exante, _solve_core
 from .errors import ArgumentError, ContestError, NumericError
 from .kernels import Contest, _check_opponents, _prize_slope
 
@@ -62,15 +62,12 @@ class ContinuumEnvironment:
             if self.points is None or len(self.points) < 2:
                 raise ArgumentError("tabulated CDFs need at least two sample points")
             pts = tuple((float(t), float(g)) for t, g in self.points)
-            ts = [p[0] for p in pts]
-            gs = [p[1] for p in pts]
+            ts, gs = zip(*pts)
             if ts[0] != self.theta_lo or ts[-1] != self.theta_hi:
                 raise ArgumentError("tabulated CDF must span the full support")
             if gs[0] != 0.0 or gs[-1] != 1.0:
                 raise ArgumentError("tabulated CDF must run from 0 to 1")
-            if any(b <= a for a, b in zip(ts, ts[1:])) or any(
-                b <= a for a, b in zip(gs, gs[1:])
-            ):
+            if any(b <= a for a, b in zip(ts, ts[1:])) or any(b <= a for a, b in zip(gs, gs[1:])):
                 raise ArgumentError("tabulated CDF samples must be strictly increasing")
             object.__setattr__(self, "points", pts)
 
@@ -248,20 +245,26 @@ def continuum_effort_cdf(cenv: ContinuumEnvironment, contest: Contest, x):
     )
 
 
+def _atoms(cenv: ContinuumEnvironment, n: int) -> np.ndarray:
+    """Scales of discretize's n atoms, least efficient first."""
+    _check_count("n", n, 1, "1")
+    levels = (2 * (n - np.arange(1, n + 1)) + 1) / (2 * n)
+    return cenv._quantile(levels)
+
+
 def discretize(cenv: ContinuumEnvironment, n: int) -> ContestEnvironment:
     """Replace the type CDF by n equal-probability atoms at quantile midpoints.
 
     Atom k sits at the quantile of level (2(n-k)+1)/(2n), so scales decrease
     with k matching the finite-model ordering (least efficient first) and stay
     strictly inside the support; the induced step CDF converges pointwise to
-    the continuum CDF as n grows.
+    the continuum CDF as n grows. The atoms are linear types, so the
+    environment's scaled view holds them as one array (see _atoms, which
+    convergence_report reads without building the environment).
     """
-    _check_count("n", n, 1, "1")
-    levels = (2 * (n - np.arange(1, n + 1)) + 1) / (2 * n)
-    types = tuple(CostFunction.linear(float(theta)) for theta in cenv.quantile(levels))
     return ContestEnvironment(
         n_others=cenv.n_others,
-        types=types,
+        types=tuple(CostFunction.linear(theta) for theta in _atoms(cenv, n).tolist()),
         probs=(1.0 / n,) * n,
     )
 
@@ -287,9 +290,11 @@ def convergence_report(
     The continuum CDF F is computed once on the whole grid from one
     _StrategyTable. For each n the continuum CDF is discretized, the finite
     equilibrium is solved, and its population effort CDF is compared
-    pointwise against F. Solver failures are re-raised with the offending n
-    attached. The default grid covers the effort support with a 5% overshoot
-    and grid_points points.
+    pointwise against F. Each n is the array core that solve and exante_cdf
+    wrap, run on the atoms' scale array (_atoms) with the same checks, so no
+    cost or environment object is built per atom. Solver failures are
+    re-raised with the offending n attached. The default grid covers the
+    effort support with a 5% overshoot and grid_points points.
     """
     ns = list(n_list)
     for n in ns:
@@ -306,16 +311,18 @@ def convergence_report(
         xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
         if xs.size == 0:
             raise ArgumentError("x_grid must be nonempty")
+        _elementwise(np.ravel, xs, -np.inf, np.inf, "effort")  # exante_cdf's check
     continuum_vals = table.effort_cdf(xs)
 
     gaps = []
     for n in ns:
+        probs = np.full(n, 1.0 / n)
         try:
-            env = discretize(cenv, n)
-            eqm = solve(env, contest)
+            atoms = _ScaledFamily(1.0, _atoms(cenv, n))
+            solved = _solve_core(atoms, probs, _cumulative(probs), contest)
         except ContestError as exc:
             raise NumericError(f"discretization n={n} failed: {exc}") from exc
-        finite_vals = exante_cdf(eqm, xs)
+        finite_vals = _exante(solved, xs)
         gaps.append(float(np.max(np.abs(finite_vals - continuum_vals))))
     return ConvergenceReport(
         entries=tuple(zip(ns, gaps)),

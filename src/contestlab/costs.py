@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class CostFunction:
             if self.points is None or len(self.points) < 2:
                 raise ArgumentError("tabulated costs need at least two sample points")
             pts = tuple((float(x), float(c)) for x, c in self.points)
-            xs = [p[0] for p in pts]
-            cs = [p[1] for p in pts]
+            xs, cs = zip(*pts)
             if xs[0] != 0.0 or cs[0] != 0.0:
                 raise ArgumentError("tabulated costs must start at (0, 0)")
             if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -110,8 +110,7 @@ class CostFunction:
 
     def _table_shape(self) -> int:
         """Sign of curvature from second differences: -1, 0, or +1; 2 if mixed."""
-        xs = np.array([p[0] for p in self.points])
-        cs = np.array([p[1] for p in self.points])
+        xs, cs = np.array(self.points).T
         slopes = np.diff(cs) / np.diff(xs)
         d2 = np.diff(slopes)
         if np.all(d2 <= 0):
@@ -126,11 +125,9 @@ class CostFunction:
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         """evaluate without argument checks, for an array of efforts known valid."""
-        if self.kind == LINEAR:
-            return self.theta * arr
-        if self.kind == POWER:
-            return self.theta * np.power(arr, self.exponent)
-        return self._interp(arr)
+        if self.kind == TABULATED:
+            return self._interp(arr)
+        return _scaled_cost(self.effective_exponent, self.theta, arr)
 
     def inverse(self, y):
         """Effort whose cost is y >= 0; closed form except for tables.
@@ -146,11 +143,9 @@ class CostFunction:
 
     def _inverse(self, arr: np.ndarray) -> np.ndarray:
         """inverse without argument checks, for an array of cost levels known valid."""
-        if self.kind == LINEAR:
-            return arr / self.theta
-        if self.kind == POWER:
-            return np.power(arr / self.theta, 1.0 / self.exponent)
-        return self._interp.inverse(arr)
+        if self.kind == TABULATED:
+            return self._interp.inverse(arr)
+        return _scaled_inverse(self.effective_exponent, self.theta, arr)
 
     def slope(self, x):
         """Marginal cost at effort x >= 0."""
@@ -165,6 +160,42 @@ class CostFunction:
 
     def __call__(self, x):
         return self.evaluate(x)
+
+
+def _scaled_cost(exponent: float, theta, x: np.ndarray) -> np.ndarray:
+    """theta * x**exponent elementwise; theta is one scale or one per point."""
+    return theta * x if exponent == 1.0 else theta * np.power(x, exponent)
+
+
+def _scaled_inverse(exponent: float, theta, level: np.ndarray) -> np.ndarray:
+    """(level / theta)**(1/exponent) elementwise, the inverse of _scaled_cost."""
+    return level / theta if exponent == 1.0 else np.power(level / theta, 1.0 / exponent)
+
+
+class _ScaledFamily(NamedTuple):
+    """Types c_k(x) = theta_k * x**exponent on one base cost, the scales in list order."""
+
+    exponent: float
+    thetas: np.ndarray
+
+    def ordering_failure(self) -> str | None:
+        """validate_environment's message for the first scale that fails to decrease, or None."""
+        bad = np.flatnonzero(self.thetas[:-1] <= self.thetas[1:])
+        if not bad.size:
+            return None
+        i = int(bad[0])
+        a, b = self.thetas[i : i + 2].tolist()
+        return f"ordering violated: theta[{i + 1}]={a!r} must exceed theta[{i + 2}]={b!r}"
+
+
+def _cumulative(probs) -> np.ndarray:
+    """P_0 = 0, P_1, ..., P_K as running sums of probs; within 1e-9 of 1, P_K is
+    snapped to 1 and no partial sum overshoots it."""
+    cumulative = np.concatenate(([0.0], np.cumsum(probs)))
+    if abs(cumulative[-1] - 1.0) <= 1e-9:
+        np.minimum(cumulative, 1.0, out=cumulative)
+        cumulative[-1] = 1.0
+    return cumulative
 
 
 def cost_eval(cf: CostFunction, x):
@@ -185,12 +216,15 @@ class ContestEnvironment:
     checks only (shapes, positive probabilities); the full ordered-type-space
     audit, including the derivative ordering, lives in validate_environment so
     that malformed inputs can be reported rather than rejected outright.
+    scaled is the list's _ScaledFamily view when no type is tabulated and all
+    share one exponent, else None; it is taken once, here.
     """
 
     n_others: int
     types: tuple[CostFunction, ...]
     probs: tuple[float, ...]
     cumulative: tuple[float, ...] = field(init=False, compare=False)
+    scaled: _ScaledFamily | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_others, (int, np.integer)) or self.n_others < 1:
@@ -203,18 +237,15 @@ class ContestEnvironment:
             raise ArgumentError("types and probs must have the same length")
         if any(not math.isfinite(p) or p <= 0.0 for p in probs):
             raise ArgumentError(f"type probabilities must be positive, got {probs}")
-        running = 0.0
-        cumulative = [0.0]
-        for p in probs:
-            running = math.fsum((running, p))
-            cumulative.append(running)
-        if abs(cumulative[-1] - 1.0) <= 1e-9:
-            # snap roundoff so P_K is exactly 1 and no partial sum overshoots
-            cumulative = [min(c, 1.0) for c in cumulative]
-            cumulative[-1] = 1.0
+        exponents, scaled = {cf.effective_exponent for cf in types}, None
+        if len(exponents) == 1 and all(cf.kind != TABULATED for cf in types):
+            thetas = np.array([cf.theta for cf in types])
+            thetas.flags.writeable = False
+            scaled = _ScaledFamily(exponents.pop(), thetas)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "cumulative", tuple(cumulative))
+        object.__setattr__(self, "cumulative", tuple(_cumulative(probs).tolist()))
+        object.__setattr__(self, "scaled", scaled)
 
     @property
     def n_types(self) -> int:
@@ -222,30 +253,29 @@ class ContestEnvironment:
 
     @property
     def parametric(self) -> bool:
-        """True when all types share one base cost and differ only in scale."""
-        if any(cf.kind == TABULATED for cf in self.types):
-            return False
-        exponents = {cf.effective_exponent for cf in self.types}
-        if len(exponents) != 1:
-            return False
-        thetas = [cf.theta for cf in self.types]
-        return all(a > b for a, b in zip(thetas, thetas[1:]))
+        """True when all types share one base cost and differ only in scale, decreasing."""
+        return self.scaled is not None and self.scaled.ordering_failure() is None
 
     @property
     def linear(self) -> bool:
-        return self.parametric and self.types[0].effective_exponent == 1.0
+        return self.parametric and self.scaled.exponent == 1.0
 
     @property
     def thetas(self) -> tuple[float, ...]:
         if not self.parametric:
             raise ArgumentError("thetas are defined for parametric environments only")
-        return tuple(cf.theta for cf in self.types)
+        return tuple(self.scaled.thetas.tolist())
 
     @property
     def base_exponent(self) -> float:
         if not self.parametric:
             raise ArgumentError("base exponent is defined for parametric environments only")
-        return self.types[0].effective_exponent
+        return self.scaled.exponent
+
+    @property
+    def _space(self) -> _ScaledFamily | tuple[CostFunction, ...]:
+        """What the equilibrium routines read: the scaled view if there is one, else the types."""
+        return self.types if self.scaled is None else self.scaled
 
     def type_at(self, k: int) -> CostFunction:
         """Type by 1-based index, least efficient first."""
@@ -280,41 +310,33 @@ def validate_environment(env: ContestEnvironment, contest=None, x_max: float | N
     (inverse of the least efficient cost at the top prize), or 10.0 when no
     contest is in scope.
     """
+    return _audit(env._space, env.probs, contest, x_max)
+
+
+def _audit(space, probs, contest=None, x_max: float | None = None) -> ValidationReport:
+    """validate_environment of an environment's _space and probs, or of a family of none."""
     failures: list[str] = []
 
-    total = math.fsum(env.probs)
+    total = math.fsum(probs)
     if abs(total - 1.0) > 1e-12:
         failures.append(f"probs must sum to 1, got {total!r}")
 
-    kinds = {cf.kind for cf in env.types}
-    exponents = {cf.effective_exponent for cf in env.types}
-    analytic = env.n_types == 1 or (TABULATED not in kinds and len(exponents) == 1)
-
-    grid = None
-    if analytic:
-        thetas = [cf.theta for cf in env.types]
-        for i, (a, b) in enumerate(zip(thetas, thetas[1:]), start=1):
-            if a <= b:
-                failures.append(
-                    f"ordering violated: theta[{i}]={a!r} must exceed theta[{i + 1}]={b!r}"
-                )
-                break
-    else:
+    scaled = isinstance(space, _ScaledFamily)
+    analytic, grid = scaled or len(space) == 1, None
+    if scaled and (failure := space.ordering_failure()) is not None:
+        failures.append(failure)
+    elif not analytic:
         if x_max is None and contest is not None:
-            x_max = float(env.types[0].inverse(contest.top_prize))
+            x_max = float(space[0].inverse(contest.top_prize))
         if x_max is None or x_max <= 0.0:
             x_max = _DEFAULT_X_MAX
         xs = np.geomspace(x_max * 1e-6, x_max, _ORDERING_GRID_POINTS)
         grid = (float(xs[0]), float(xs[-1]), _ORDERING_GRID_POINTS)
-        slopes = np.array([cf._slope(xs) for cf in env.types])
-        for i in range(env.n_types - 1):
-            bad = np.nonzero(slopes[i] <= slopes[i + 1])[0]
-            if bad.size:
-                x_bad = float(xs[bad[0]])
-                failures.append(
-                    f"ordering violated between types {i + 1} and {i + 2} at effort {x_bad!r}"
-                )
-                break
+        slopes = np.array([cf._slope(xs) for cf in space])
+        bad = np.argwhere(slopes[:-1] <= slopes[1:])  # the first pair, at its first effort
+        if bad.size:
+            i, x_bad = int(bad[0, 0]) + 1, float(xs[bad[0, 1]])
+            failures.append(f"ordering violated between types {i} and {i + 1} at effort {x_bad!r}")
 
     return ValidationReport(
         passed=not failures,

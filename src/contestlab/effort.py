@@ -41,9 +41,7 @@ class AlphaVector:
     cost_space: bool
 
     def dot(self, contest: Contest) -> float:
-        return float(
-            np.dot(np.asarray(self.coefficients), np.asarray(contest.prizes[1:]))
-        )
+        return float(np.dot(np.asarray(self.coefficients), np.asarray(contest.prizes[1:])))
 
 
 def _check_tol(tol: float) -> None:
@@ -232,7 +230,7 @@ class _EffortOperator:
         With tol, NumericError where an integral and the same integral with every
         panel halved at its midpoint differ by more than tol * max(1, |integral|)."""
         pis = _curve(ladders, self._cut_pmf)
-        utilities = _forward(self.env.types, pis)[1]
+        utilities = _forward(self.env._space, pis)[1]
         edges = self._layout(ladders, pis, utilities)
         values = self._integrate(ladders, utilities, self._panels(edges, False))
         if tol is not None:
@@ -261,7 +259,7 @@ class _EffortOperator:
         """
         types, pis, d_pis = self.env.types, ladder @ self._cut_pmf, np.eye(self.env.n_types + 1)
         self.gradients += 1
-        boundaries, utilities = (part[0] for part in _forward(types, pis[None])[:2])
+        boundaries, utilities = (part[0] for part in _forward(self.env._space, pis[None])[:2])
         # u_1 = 0 and, as v_0 = 0, so is its derivative; b_K feeds no utility
         d_utilities = np.zeros((self.env.n_types + 1, self.env.n_types))
         with np.errstate(divide="ignore"):  # c'(0) is infinite under a power base below 1

@@ -11,13 +11,27 @@ the upper end gives b_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from ._quad import _elementwise
-from .costs import ContestEnvironment, validate_environment
+from .costs import ContestEnvironment, _audit, _scaled_cost, _scaled_inverse, _ScaledFamily
 from .errors import ArgumentError, CapabilityError, NumericError
 from .kernels import Contest, _check_opponents, _prize_curve, _prize_inverse
+
+
+class _Solved(NamedTuple):
+    """A solved equilibrium as arrays, for the CDFs and the draws: space is an environment's
+    _space or a family of none (convergence_report's atoms), cumulative P_0..P_K."""
+
+    contest: Contest
+    space: _ScaledFamily | tuple
+    probs: np.ndarray
+    cumulative: np.ndarray
+    boundaries: np.ndarray
+    utilities: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,9 +54,13 @@ class Equilibrium:
     def max_effort(self) -> float:
         return self.boundaries[-1]
 
+    @cached_property
+    def _solved(self) -> _Solved:
+        parts = self.env.probs, self.env.cumulative, self.boundaries, self.utilities
+        return _Solved(self.contest, self.env._space, *map(np.asarray, parts))
 
-def _check_pair(env: ContestEnvironment, contest: Contest) -> None:
-    _check_opponents(env, contest)
+
+def _check_prize(contest: Contest) -> None:
     if contest.degenerate:
         raise ArgumentError("equilibrium needs a positive top prize")
 
@@ -54,16 +72,28 @@ def _check_solved(env: ContestEnvironment, contest: Contest, eqm) -> None:
         raise ArgumentError("equilibrium was solved for a different environment or contest")
 
 
-def _forward(types, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forward(space, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundaries b_0..b_K, utilities and unclamped levels per row of pis = pi(P_0)..pi(P_K).
 
     u_k = pi(P_{k-1}) - c_k(b_{k-1}) and b_k = c_k^-1(max(level_k, 0)) with
     level_k = pi(P_k) - u_k, unchecked and elementwise, so rows are independent.
+    space is an environment's _space: a type list (tabulated or mixed exponents)
+    takes one step per type. A scaled family c_k = theta_k c is the linear-cost
+    game in cost units, all rows in a few array operations: u_k = pi(P_{k-1}) -
+    theta_k c(b_{k-1}), and c(b_k) = max(c(b_{k-1}) + (pi(P_k) - pi(P_{k-1})) /
+    theta_k, 0) is the running sum S_k of those increments less min(0, S_1..S_k),
+    the plain running sum where no level clamps.
     """
-    boundaries = np.zeros((len(types) + 1, pis.shape[0]))  # type-major: a step writes a row
+    if isinstance(space, _ScaledFamily):
+        sums = np.cumsum(np.diff(pis, axis=1) / space.thetas, axis=1)
+        sums -= np.minimum.accumulate(np.minimum(sums, 0.0), axis=1)
+        costs = np.hstack((np.zeros((pis.shape[0], 1)), sums))
+        utilities = pis[:, :-1] - space.thetas * costs[:, :-1]
+        return _scaled_inverse(space.exponent, 1.0, costs), utilities, pis[:, 1:] - utilities
+    boundaries = np.zeros((len(space) + 1, pis.shape[0]))  # type-major: a step writes a row
     utilities = np.empty_like(boundaries[1:])
     boundary = zero = boundaries[0]
-    for k, (cf, lo, hi, u) in enumerate(zip(types, pis.T, pis.T[1:], utilities), start=1):
+    for k, (cf, lo, hi, u) in enumerate(zip(space, pis.T, pis.T[1:], utilities), start=1):
         np.subtract(lo, cf._evaluate(boundary), out=u)
         try:
             boundary = cf._inverse(np.maximum(hi - u, zero))
@@ -73,75 +103,76 @@ def _forward(types, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return boundaries.T, utilities.T, pis[:, 1:] - utilities.T
 
 
+def _solve_core(space, probs: np.ndarray, cumulative: np.ndarray, contest: Contest) -> _Solved:
+    """solve on arrays: space is an environment's _space or a scaled family of no environment.
+
+    Runs solve's checks: a positive top prize, validate_environment's audit,
+    no cost level below -1e-12 * top prize and strictly increasing boundaries.
+    """
+    _check_prize(contest)
+    report = _audit(space, probs, contest)
+    if not report.passed:
+        raise ArgumentError(f"invalid environment: {report.failures[0]}")
+    pis = _prize_curve(contest, cumulative)  # pis[0] == 0
+    boundaries, utilities, levels = (row[0] for row in _forward(space, pis[None]))
+    negative = np.flatnonzero(levels < -1e-12 * contest.top_prize)
+    if negative.size:
+        k = int(negative[0])
+        raise NumericError(f"negative cost level {float(levels[k])!r} while inverting type {k + 1}")
+    stalled = np.flatnonzero(~(boundaries[1:] > boundaries[:-1]))  # a NaN boundary also fails
+    if stalled.size:
+        raise NumericError(f"boundary points failed to increase at type {int(stalled[0]) + 1}")
+    return _Solved(contest, space, probs, cumulative, boundaries, utilities)
+
+
 def solve(env: ContestEnvironment, contest: Contest) -> Equilibrium:
     """Compute boundary points and utilities by forward recursion (_forward, one row).
 
     Starting from b_0 = 0, each step reads off u_k from the prize at the
-    segment's lower end and then inverts type k's cost at the upper end.
+    segment's lower end and then inverts type k's cost at the upper end; a
+    parametric env takes all steps as one running sum in cost units. The
+    recursion and its checks are _solve_core's, which convergence_report
+    runs on its atoms without building an environment.
     Float range: under a power-e base b_1 = (pi(P_1)/theta_1)^(1/e), and
     pi(P_1) is about P_1^N when only the top prizes are paid, so b_1 can
     underflow to 0 (N = 200, e = 0.1): that raises NumericError.
     """
-    _check_pair(env, contest)
-    report = validate_environment(env, contest)
-    if not report.passed:
-        raise ArgumentError(f"invalid environment: {report.failures[0]}")
-
-    pis = _prize_curve(contest, np.asarray(env.cumulative))  # pis[0] == 0
-    boundaries, utilities, levels = (row[0].tolist() for row in _forward(env.types, pis[None]))
-    for k, level in enumerate(levels, start=1):
-        if level < -1e-12 * contest.top_prize:
-            raise NumericError(f"negative cost level {level!r} while inverting type {k}")
-    for k in range(1, len(boundaries)):
-        if not boundaries[k] > boundaries[k - 1]:  # written so that a NaN boundary also fails
-            raise NumericError(f"boundary points failed to increase at type {k}")
+    _check_opponents(env, contest)
+    solved = _solve_core(env._space, np.asarray(env.probs), np.asarray(env.cumulative), contest)
+    boundaries, utilities = solved.boundaries.tolist(), solved.utilities.tolist()
     return Equilibrium(env, contest, tuple(boundaries), tuple(utilities))
 
 
-def _require_parametric(env: ContestEnvironment) -> None:
+def _closed_form(env: ContestEnvironment, contest: Contest) -> tuple[np.ndarray, np.ndarray]:
+    """b_0..b_K and the utilities of a parametric env: _forward's cost-unit row, unchecked."""
     if not env.parametric:
-        raise CapabilityError(
-            "closed forms need a parametric type-space (one base cost, decreasing scales)"
-        )
+        msg = "closed forms need a parametric type-space (one base cost, decreasing scales)"
+        raise CapabilityError(msg)
+    _check_opponents(env, contest)
+    _check_prize(contest)
+    pis = _prize_curve(contest, np.asarray(env.cumulative))
+    return tuple(part[0] for part in _forward(env.scaled, pis[None])[:2])
 
 
 def utilities_closed_form(env: ContestEnvironment, contest: Contest) -> tuple[float, ...]:
-    """Utilities u_k = theta_k * sum_{j<k} pi(P_j) (1/theta_{j+1} - 1/theta_j).
+    """Utilities u_k = pi(P_{k-1}) - theta_k c(b_{k-1}) in cost units c (boundaries_closed_form).
 
+    By parts this is theta_k * sum_{j<k} pi(P_j) (1/theta_{j+1} - 1/theta_j).
     Valid for any parametric type-space regardless of the base cost: the game
     re-expressed in cost units is the linear-cost game, and utilities are
     measured in prize-value units, which the re-expression leaves untouched.
     """
-    _require_parametric(env)
-    _check_pair(env, contest)
-    thetas = env.thetas
-    pis = _prize_curve(contest, np.asarray(env.cumulative[1:])).tolist()
-    utilities = []
-    acc = 0.0
-    for k in range(1, env.n_types + 1):
-        utilities.append(thetas[k - 1] * acc)
-        if k < env.n_types:
-            acc += pis[k - 1] * (1.0 / thetas[k] - 1.0 / thetas[k - 1])
-    return tuple(utilities)
+    return tuple(_closed_form(env, contest)[1].tolist())
 
 
 def boundaries_closed_form(env: ContestEnvironment, contest: Contest) -> tuple[float, ...]:
     """Boundaries b_1..b_K from cumulative prize increments over scales.
 
     The cost level at b_k is sum_{j<=k} (pi(P_j) - pi(P_{j-1})) / theta_j;
-    applying the base inverse maps levels back to efforts.
+    applying the base inverse maps levels back to efforts. That running sum
+    is _forward's for every scaled family, so solve returns these boundaries.
     """
-    _require_parametric(env)
-    _check_pair(env, contest)
-    thetas = env.thetas
-    exponent = env.base_exponent
-    pis = _prize_curve(contest, np.asarray(env.cumulative)).tolist()
-    level = 0.0
-    out = []
-    for k in range(1, env.n_types + 1):
-        level += (pis[k] - pis[k - 1]) / thetas[k - 1]
-        out.append(level ** (1.0 / exponent))
-    return tuple(out)
+    return tuple(_closed_form(env, contest)[0][1:].tolist())
 
 
 def type_index(env: ContestEnvironment, t: float) -> int:
@@ -152,26 +183,26 @@ def type_index(env: ContestEnvironment, t: float) -> int:
     return min(k, env.n_types)
 
 
-def _by_type(seg: np.ndarray, values: np.ndarray, f) -> np.ndarray:
-    """f(k, values[seg == k]) for each type k in seg, put back in seg's order."""
+def _by_type(space, seg: np.ndarray, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Cost (or cost inverse) of each value under its own type k = seg: one call with theta_k
+    per point on a scaled family, else one per type present, put back in seg's order."""
+    if isinstance(space, _ScaledFamily):
+        scaled = _scaled_inverse if inverse else _scaled_cost
+        return scaled(space.exponent, space.thetas[seg - 1], values)
     out = np.empty_like(values)
     for k in np.flatnonzero(np.bincount(seg)):
-        mask = seg == k
-        out[mask] = f(k, values[mask])
+        mask, cf = seg == k, space[k - 1]
+        out[mask] = cf._inverse(values[mask]) if inverse else cf._evaluate(values[mask])
     return out
 
 
-def _mixing_cdf(eqm: Equilibrium, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _mixing_cdf(solved: _Solved, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
     """F_k(x) at each point x under its own type k = seg, in one prize-curve inversion."""
-    env = eqm.env
-    levels = _by_type(
-        seg, x, lambda k, part: env.types[k - 1]._evaluate(part) + eqm.utilities[k - 1]
-    )
+    levels = _by_type(solved.space, seg, x) + solved.utilities[seg - 1]
     # cost levels beyond the top prize clamp to certainty of winning:
     # off-support and perturbed queries are legitimate probes here
-    ts = _prize_inverse(eqm.contest, np.clip(levels, 0.0, eqm.contest.top_prize))
-    p_lo = np.asarray(env.cumulative)[seg - 1]
-    return np.clip((ts - p_lo) / np.asarray(env.probs)[seg - 1], 0.0, 1.0)
+    ts = _prize_inverse(solved.contest, np.clip(levels, 0.0, solved.contest.top_prize))
+    return np.clip((ts - solved.cumulative[seg - 1]) / solved.probs[seg - 1], 0.0, 1.0)
 
 
 def type_cdf(eqm: Equilibrium, k: int, x):
@@ -188,10 +219,24 @@ def type_cdf(eqm: Equilibrium, k: int, x):
         inside = ~(below | (arr >= b_hi))
         out = np.where(below, 0.0, 1.0)
         if np.any(inside):
-            out[inside] = _mixing_cdf(eqm, np.full(np.count_nonzero(inside), k), arr[inside])
+            seg = np.full(np.count_nonzero(inside), k)
+            out[inside] = _mixing_cdf(eqm._solved, seg, arr[inside])
         return out
 
     return _elementwise(core, x, -np.inf, np.inf, "effort")
+
+
+def _exante(solved: _Solved, arr: np.ndarray) -> np.ndarray:
+    """exante_cdf without argument checks, for an array of finite efforts."""
+    boundaries = solved.boundaries
+    out = np.where(arr <= 0.0, 0.0, 1.0)
+    interior = (arr > 0.0) & (arr < boundaries[-1])
+    if np.any(interior):
+        xi = arr[interior]
+        seg = np.clip(np.searchsorted(boundaries, xi, side="left"), 1, boundaries.size - 1)
+        p_lo = solved.cumulative[seg - 1]
+        out[interior] = p_lo + solved.probs[seg - 1] * _mixing_cdf(solved, seg, xi)
+    return out
 
 
 def exante_cdf(eqm: Equilibrium, x):
@@ -200,20 +245,7 @@ def exante_cdf(eqm: Equilibrium, x):
     Each interior point is taken under the type whose interval holds it, and
     all points share one call of the inverse prize curve.
     """
-    env = eqm.env
-    boundaries = np.asarray(eqm.boundaries)
-
-    def core(arr: np.ndarray) -> np.ndarray:
-        out = np.where(arr <= 0.0, 0.0, 1.0)
-        interior = (arr > 0.0) & (arr < boundaries[-1])
-        if np.any(interior):
-            xi = arr[interior]
-            seg = np.clip(np.searchsorted(boundaries, xi, side="left"), 1, env.n_types)
-            p_lo = np.asarray(env.cumulative)[seg - 1]
-            out[interior] = p_lo + np.asarray(env.probs)[seg - 1] * _mixing_cdf(eqm, seg, xi)
-        return out
-
-    return _elementwise(core, x, -np.inf, np.inf, "effort")
+    return _elementwise(lambda arr: _exante(eqm._solved, arr), x, -np.inf, np.inf, "effort")
 
 
 def sample(eqm: Equilibrium, k: int, unit_draw):
@@ -226,18 +258,17 @@ def sample(eqm: Equilibrium, k: int, unit_draw):
     """
     eqm.env.type_at(k)  # rejects an out-of-range k
     return _elementwise(
-        lambda arr: _draw(eqm, np.full(arr.size, k), arr), unit_draw, 0.0, 1.0, "unit draw"
+        lambda arr: _draw(eqm._solved, np.full(arr.size, k), arr), unit_draw, 0.0, 1.0, "unit draw"
     )
 
 
-def _draw(eqm: Equilibrium, seg: np.ndarray, arr: np.ndarray) -> np.ndarray:
+def _draw(solved: _Solved, seg: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """sample without argument checks, for unit draws known to lie in [0, 1].
 
     Each draw is taken under its own type seg, so one call serves a batch that
     mixes types.
     """
-    env = eqm.env
-    ts = np.asarray(env.cumulative)[seg - 1] + np.asarray(env.probs)[seg - 1] * arr
-    levels = _prize_curve(eqm.contest, ts) - np.asarray(eqm.utilities)[seg - 1]
+    ts = solved.cumulative[seg - 1] + solved.probs[seg - 1] * arr
+    levels = _prize_curve(solved.contest, ts) - solved.utilities[seg - 1]
     np.maximum(levels, 0.0, out=levels)
-    return _by_type(seg, levels, lambda k, part: env.types[k - 1]._inverse(part))
+    return _by_type(solved.space, seg, levels, inverse=True)

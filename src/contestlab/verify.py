@@ -125,8 +125,9 @@ def monte_carlo_effort(
     child of the master seed, so reruns with the same seed are bit-identical.
     A chunk draws all its types first and then its unit draws, _HORNER_BLOCK
     at a time, each block taken through the prize curve and the cost
-    inverses at once; so memory holds the chunk's types and efforts plus one
-    block's work. n_samples must be an integer of at least 10^4, seed a
+    inverses at once; so memory holds one chunk-sized buffer (the type
+    draws, overwritten block by block by the efforts) plus one block's
+    work. n_samples must be an integer of at least 10^4, seed a
     nonnegative integer and eqm solved for env and contest.
     """
     _check_count("seed", seed, 0, "0")
@@ -140,15 +141,16 @@ def monte_carlo_effort(
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
+    buffer = np.empty(min(_MC_CHUNK, n_samples))
     for child in children:
         size = min(_MC_CHUNK, remaining)
         remaining -= size
         rng = np.random.default_rng(child)
-        kinds = np.searchsorted(cuts, rng.random(size), side="left") + 1
-        efforts = np.empty(size)
+        efforts = rng.random(out=buffer[:size])
         for start in range(0, size, _HORNER_BLOCK):
-            seg = kinds[start : start + _HORNER_BLOCK]
-            efforts[start : start + seg.size] = _draw(eqm, seg, rng.random(seg.size))
+            block = efforts[start : start + _HORNER_BLOCK]
+            seg = np.searchsorted(cuts, block, side="left") + 1
+            block[:] = _draw(eqm._solved, seg, rng.random(seg.size))
         total += float(np.sum(efforts))
         efforts *= efforts
         total_sq += float(np.sum(efforts))
@@ -156,12 +158,7 @@ def monte_carlo_effort(
     mean = total / n_samples
     variance = max(total_sq / n_samples - mean * mean, 0.0)
     half_width = 3.0 * np.sqrt(variance / n_samples)
-    return MonteCarloReport(
-        mean=mean,
-        half_width=float(half_width),
-        n_samples=n_samples,
-        seed=seed,
-    )
+    return MonteCarloReport(mean=mean, half_width=float(half_width), n_samples=n_samples, seed=seed)
 
 
 def verification_report(

@@ -303,6 +303,17 @@ class TestRunCommands:
         assert main([_write(tmp_path, text), "--format", "csv", "--out", str(out)]) == EXIT_OK
         assert out.read_text() == "m,alpha\n1,0.125\n2,0.25\n"
 
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path):
+        # one parser serves every call in a process; each call's flags are its own
+        path = _write(tmp_path, TWO_TYPE_SOLVE)
+        first, second = tmp_path / "first.csv", tmp_path / "second.json"
+        assert main([path, "--format", "csv", "--out", str(first), "--seed", "3"]) == EXIT_OK
+        assert main([path, "--out", str(second)]) == EXIT_OK
+        assert first.read_text().splitlines()[0] == "k,lower,upper,utility"
+        report = json.loads(second.read_text())
+        assert report["command"] == "solve"
+        assert report["meta"]["seed"] == 7
+
     def test_compare_json_with_numeric_estimate(self, tmp_path):
         text = TWO_TYPE_SOLVE.replace(
             "name = solve", "name = compare\nm = 2\nm_prime = 1\nnumeric = true"

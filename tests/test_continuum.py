@@ -338,6 +338,26 @@ class TestConvergence:
         gaps = [gap for _, gap in report.entries]
         assert gaps[-1] < gaps[0]
 
+    @pytest.mark.parametrize(
+        "cenv",
+        [
+            ContinuumEnvironment.uniform(1, 1.0, 2.0),
+            ContinuumEnvironment.power(2, 1.0, 2.0, shape=2.0),
+            ContinuumEnvironment.tabulated(1, [(1.0, 0.0), (1.4, 0.35), (1.7, 0.7), (2.0, 1.0)]),
+        ],
+        ids=["uniform", "power", "tabulated"],
+    )
+    def test_gaps_are_those_of_discretize_solve_and_exante_cdf(self, cenv):
+        # the report runs solve's array core on the atoms' scales, without
+        # an environment; the public path must give the same gaps
+        contest = Contest((0.0,) * (cenv.n_others - 1) + (0.4, 1.0))
+        report = convergence_report(cenv, contest, [1, 4, 16, 64, 256])
+        xs = np.linspace(0.0, 1.05 * report.max_effort, report.grid_points)
+        continuum = continuum_effort_cdf(cenv, contest, xs)
+        for n, gap in report.entries:
+            finite = exante_cdf(solve(discretize(cenv, n), contest), xs)
+            assert abs(gap - float(np.max(np.abs(finite - continuum)))) <= 1e-15
+
     def test_rejects_unordered_n_list(self, uniform_example):
         cenv, contest = uniform_example
         with pytest.raises(ArgumentError):
@@ -370,10 +390,10 @@ class TestConvergence:
 
         cenv, contest = uniform_example
 
-        def broken_solve(env, c):
+        def broken_solve(*args):
             raise ArgumentError("synthetic failure")
 
-        monkeypatch.setattr(continuum_module, "solve", broken_solve)
+        monkeypatch.setattr(continuum_module, "_solve_core", broken_solve)
         with pytest.raises(Exception, match="n=4"):
             convergence_report(cenv, contest, [4])
 

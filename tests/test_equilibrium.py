@@ -19,6 +19,7 @@ from contestlab import (
     type_index,
     utilities_closed_form,
 )
+from contestlab.equilibrium import _draw, _mixing_cdf
 from conftest import random_linear_env, random_monotone_contest, random_parametric_env
 
 
@@ -239,6 +240,23 @@ class TestExanteCdf:
                 k = min(max(int(np.searchsorted(eqm.boundaries, x, side="left")), 1), env.n_types)
                 expected[i] = env.cumulative[k - 1] + env.probs[k - 1] * type_cdf(eqm, k, x)
         np.testing.assert_allclose(exante_cdf(eqm, xs), expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.5, 2.0, 8.0])
+def test_one_call_on_a_scaled_env_equals_a_call_per_type(exponent):
+    # a linear or power base takes theta_k per point in one cost call: the
+    # same elementwise operations as one call per type, so the same bits
+    rng = np.random.default_rng(int(exponent * 10))
+    env = random_parametric_env(rng, exponent, n_max=8, k_min=3, k_max=6)
+    eqm = solve(env, random_monotone_contest(rng, env.n_others))
+    per_type = eqm._solved._replace(space=env.types)
+    assert env.scaled is not None and eqm._solved.space is env.scaled
+    seg = rng.integers(1, env.n_types + 1, size=500)
+    bounds = np.asarray(eqm.boundaries)
+    xs = bounds[seg - 1] + rng.random(500) * (bounds[seg] - bounds[seg - 1])
+    assert _mixing_cdf(eqm._solved, seg, xs).tobytes() == _mixing_cdf(per_type, seg, xs).tobytes()
+    draws = rng.random(500)
+    assert _draw(eqm._solved, seg, draws).tobytes() == _draw(per_type, seg, draws).tobytes()
 
 
 class TestSample:
